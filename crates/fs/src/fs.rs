@@ -14,7 +14,7 @@ use crate::error::{FsError, FsResult};
 use crate::layout::{Chunk, FileLayout, StripeConfig};
 use crate::path;
 use crate::ring::{HashRing, ServerId};
-use crate::store::{FileMeta, Shard, StatInfo};
+use crate::store::{FileMeta, Residency, Shard, StatInfo};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -214,15 +214,15 @@ impl BurstBufferFs {
             .evict_clean_until(target_bytes)
     }
 
-    /// Restores an evicted extent on `server` from its capacity-tier copy
-    /// (see [`Shard::restore_extent`] for the `mark_dirty` pinning
-    /// semantics).
+    /// Restores an evicted extent on `server` from its capacity-tier copy,
+    /// taking the verified buffer by value (see [`Shard::restore_extent`]
+    /// for the `mark_dirty` pinning semantics).
     pub fn restore_extent_on(
         &self,
         server: usize,
         p: &str,
         stripe: u64,
-        data: &[u8],
+        data: Vec<u8>,
         mark_dirty: bool,
     ) {
         self.inner.shards[server]
@@ -246,14 +246,17 @@ impl BurstBufferFs {
     /// repair source: a clean resident extent is byte-identical to what the
     /// capacity tier is supposed to hold (pair with
     /// [`BurstBufferFs::snapshot_extent_on`], which answers `Some` exactly
-    /// for dirty extents, to tell the two apart).
+    /// for dirty extents, to tell the two apart). The one read that clones a
+    /// whole extent out: the scrub repair and replicate callers need an
+    /// owned copy to hand to the capacity tier.
     pub fn resident_extent_on(&self, server: usize, p: &str, stripe: u64) -> Option<Vec<u8>> {
+        let mut extent = Vec::new();
         match self.inner.shards[server]
             .read()
-            .read_extent_checked(p, stripe, 0, u64::MAX)
+            .read_extent_into(p, stripe, 0, u64::MAX, &mut extent)
         {
-            crate::store::ExtentRead::Data(d) => Some(d),
-            _ => None,
+            Residency::Resident => Some(extent),
+            Residency::Hole | Residency::Evicted => None,
         }
     }
 
@@ -466,6 +469,11 @@ impl BurstBufferFs {
     /// fetched copy *without* restoring it into the shard, so a concurrent
     /// evictor cannot race the read. A fetch miss surfaces as
     /// [`FsError::NotResident`].
+    ///
+    /// Copy-once: the reply buffer is allocated once, never zero-filled up
+    /// front, and each chunk is appended straight from its resident extent
+    /// (or from the needed range of the fetched copy); only holes and the
+    /// tails of short extents are padded with zeros.
     pub fn read_at_with(
         &self,
         p: &str,
@@ -490,34 +498,27 @@ impl BurstBufferFs {
         }
         let len = len.min(size - offset);
         let layout = self.layout_of(&p)?;
-        let mut out = vec![0u8; len as usize];
+        let mut out = Vec::with_capacity(len as usize);
         for chunk in layout.chunks(offset, len) {
             let stripe = chunk.offset / layout.config.stripe_size;
             let within = chunk.offset % layout.config.stripe_size;
-            let read = self
+            let chunk_end = out.len() + chunk.len as usize;
+            let residency = self
                 .shard(chunk.server)
                 .read()
-                .read_extent_checked(&p, stripe, within, chunk.len);
-            match read {
-                crate::store::ExtentRead::Data(data) => {
-                    let lo = (chunk.offset - offset) as usize;
-                    out[lo..lo + data.len()].copy_from_slice(&data);
-                }
-                // A hole inside the file size reads as zeros (sparse file).
-                crate::store::ExtentRead::Hole => {}
-                // The bytes exist only in the capacity tier: never fake them
-                // with zeros — read through the fetcher, or surface the
-                // miss so a staging-aware caller can stage in and retry.
-                crate::store::ExtentRead::Evicted => match fetch(&p, stripe) {
-                    Some(extent) => {
-                        let start = within.min(extent.len() as u64) as usize;
-                        let end = (within + chunk.len).min(extent.len() as u64) as usize;
-                        let lo = (chunk.offset - offset) as usize;
-                        out[lo..lo + (end - start)].copy_from_slice(&extent[start..end]);
-                    }
-                    None => return Err(FsError::NotResident(p.clone())),
-                },
+                .read_extent_into(&p, stripe, within, chunk.len, &mut out);
+            // The bytes exist only in the capacity tier: never fake them
+            // with zeros — read through the fetcher, or surface the miss so
+            // a staging-aware caller can stage in and retry.
+            if residency == Residency::Evicted {
+                let extent = fetch(&p, stripe).ok_or_else(|| FsError::NotResident(p.clone()))?;
+                let start = within.min(extent.len() as u64) as usize;
+                let end = (within + chunk.len).min(extent.len() as u64) as usize;
+                out.extend_from_slice(&extent[start..end]);
             }
+            // A hole inside the file size, or the tail of an extent shorter
+            // than the chunk, reads as zeros (sparse file).
+            out.resize(chunk_end, 0);
         }
         Ok(out)
     }

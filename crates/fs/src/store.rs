@@ -59,18 +59,19 @@ impl From<&FileMeta> for StatInfo {
     }
 }
 
-/// The outcome of a residency-aware extent read ([`Shard::read_extent_checked`]).
+/// The residency of an extent, as reported by [`Shard::read_extent_into`].
 ///
 /// Distinguishes the three reasons a read can return fewer bytes than asked
 /// for — the staging subsystem must treat them very differently: a hole is
 /// legitimately zero, a short read is clamped by what was written, but an
 /// evicted extent's bytes exist *only in the capacity tier* and silently
 /// zero-filling them would corrupt data.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExtentRead {
-    /// The extent is resident; the bytes of the requested range, possibly
-    /// short (or empty) where the range runs past the extent's written end.
-    Data(Vec<u8>),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Residency {
+    /// The extent is resident; the bytes of the requested range were
+    /// appended, possibly short (or none) where the range runs past the
+    /// extent's written end.
+    Resident,
     /// No extent was ever written at this `(path, stripe)` — a logical hole;
     /// the distributed layer fills holes with zeros up to the file size.
     Hole,
@@ -277,44 +278,32 @@ impl Shard {
         Ok(())
     }
 
-    /// Reads up to `len` bytes from stripe `stripe` of `path` starting at
-    /// `offset_in_stripe`, reporting residency ([`ExtentRead`]).
-    pub fn read_extent_checked(
+    /// Appends up to `len` bytes of stripe `stripe` of `path`, starting at
+    /// `offset_in_stripe`, to `out` and reports the extent's [`Residency`].
+    /// The bytes are copied once, straight from the extent; only a
+    /// [`Residency::Resident`] extent appends anything, and it appends short
+    /// where the range runs past the extent's written end.
+    pub fn read_extent_into(
         &self,
         path: &str,
         stripe: u64,
         offset_in_stripe: u64,
         len: u64,
-    ) -> ExtentRead {
+        out: &mut Vec<u8>,
+    ) -> Residency {
         let key = (path.to_string(), stripe);
         if self.evicted.contains_key(&key) {
-            return ExtentRead::Evicted;
+            return Residency::Evicted;
         }
         match self.extents.get(&key) {
-            None => ExtentRead::Hole,
+            None => Residency::Hole,
             Some(extent) => {
-                let start = offset_in_stripe.min(extent.len() as u64) as usize;
-                let end = (offset_in_stripe + len).min(extent.len() as u64) as usize;
-                ExtentRead::Data(extent[start..end].to_vec())
+                let extent_len = extent.len() as u64;
+                let start = offset_in_stripe.min(extent_len) as usize;
+                let end = offset_in_stripe.saturating_add(len).min(extent_len) as usize;
+                out.extend_from_slice(&extent[start..end]);
+                Residency::Resident
             }
-        }
-    }
-
-    /// Reads up to `len` bytes from stripe `stripe` of `path` starting at
-    /// `offset_in_stripe`.
-    ///
-    /// # Sparse-read contract
-    ///
-    /// This legacy accessor flattens [`Shard::read_extent_checked`]: a hole
-    /// (never-written extent) and an **evicted** extent both read as an empty
-    /// buffer, and ranges past the written end of a resident extent read
-    /// short. Callers that may observe evicted extents — anything running
-    /// under the staging subsystem — must use `read_extent_checked` and stage
-    /// evicted extents back in; treating `Evicted` as zeros corrupts data.
-    pub fn read_extent(&self, path: &str, stripe: u64, offset_in_stripe: u64, len: u64) -> Vec<u8> {
-        match self.read_extent_checked(path, stripe, offset_in_stripe, len) {
-            ExtentRead::Data(d) => d,
-            ExtentRead::Hole | ExtentRead::Evicted => Vec::new(),
         }
     }
 
@@ -445,8 +434,9 @@ impl Shard {
         evicted
     }
 
-    /// Restores an evicted extent from its capacity-tier copy. Restoring a
-    /// resident extent is a no-op.
+    /// Restores an evicted extent from its capacity-tier copy, which moves
+    /// into the extent map as is (no copy). Restoring a resident extent is a
+    /// no-op.
     ///
     /// With `mark_dirty = false` the extent re-enters the shard clean (the
     /// tier still holds an identical copy) and is immediately evictable
@@ -454,7 +444,7 @@ impl Shard {
     /// touch it — which is how a restore-for-write pins the extent against a
     /// concurrent evictor until the write lands (the write would re-dirty it
     /// anyway).
-    pub fn restore_extent(&mut self, path: &str, stripe: u64, data: &[u8], mark_dirty: bool) {
+    pub fn restore_extent(&mut self, path: &str, stripe: u64, data: Vec<u8>, mark_dirty: bool) {
         let key = (path.to_string(), stripe);
         if self.extents.contains_key(&key) {
             return;
@@ -466,7 +456,7 @@ impl Shard {
             self.dirty.insert(key.clone(), self.next_generation);
             self.bytes_dirty += data.len() as u64;
         }
-        self.extents.insert(key, data.to_vec());
+        self.extents.insert(key, data);
     }
 
     /// Number of evicted extents on this shard (O(1) — the staging hot path
@@ -498,6 +488,13 @@ mod tests {
     use super::*;
     use crate::layout::StripeConfig;
     use crate::ring::HashRing;
+
+    /// [`Shard::read_extent_into`] into a fresh buffer.
+    fn read(s: &Shard, path: &str, stripe: u64, offset: u64, len: u64) -> (Residency, Vec<u8>) {
+        let mut out = Vec::new();
+        let residency = s.read_extent_into(path, stripe, offset, len, &mut out);
+        (residency, out)
+    }
 
     fn meta(path: &str, is_dir: bool) -> FileMeta {
         let ring = HashRing::new(2);
@@ -580,12 +577,21 @@ mod tests {
     fn extent_write_read_roundtrip_and_growth() {
         let mut s = Shard::new(ServerId(1));
         s.write_extent("/a", 0, 10, b"hello").unwrap();
-        assert_eq!(s.read_extent("/a", 0, 10, 5), b"hello");
+        assert_eq!(
+            read(&s, "/a", 0, 10, 5),
+            (Residency::Resident, b"hello".to_vec())
+        );
         // Bytes before the written region read as zeros.
-        assert_eq!(s.read_extent("/a", 0, 0, 3), vec![0, 0, 0]);
+        assert_eq!(
+            read(&s, "/a", 0, 0, 3),
+            (Residency::Resident, vec![0, 0, 0])
+        );
         // Reads past the extent are short.
-        assert_eq!(s.read_extent("/a", 0, 13, 100), b"lo");
-        assert_eq!(s.read_extent("/a", 7, 0, 10), Vec::<u8>::new());
+        assert_eq!(
+            read(&s, "/a", 0, 13, 100),
+            (Residency::Resident, b"lo".to_vec())
+        );
+        assert_eq!(read(&s, "/a", 7, 0, 10), (Residency::Hole, Vec::new()));
         assert_eq!(s.bytes_stored(), 15);
     }
 
@@ -595,7 +601,7 @@ mod tests {
         s.write_extent("/a", 0, 0, &[1u8; 100]).unwrap();
         s.write_extent("/a", 0, 20, &[2u8; 30]).unwrap();
         assert_eq!(s.bytes_stored(), 100);
-        assert_eq!(s.read_extent("/a", 0, 20, 1), vec![2]);
+        assert_eq!(read(&s, "/a", 0, 20, 1), (Residency::Resident, vec![2]));
     }
 
     #[test]
@@ -603,22 +609,26 @@ mod tests {
         let mut s = Shard::new(ServerId(0));
         s.write_extent("/f", 0, 10, b"hello").unwrap();
         // Never-written stripe: a logical hole, not data.
-        assert_eq!(s.read_extent_checked("/f", 5, 0, 8), ExtentRead::Hole);
+        assert_eq!(read(&s, "/f", 5, 0, 8), (Residency::Hole, Vec::new()));
         // Written stripe: data, short at the extent tail.
         assert_eq!(
-            s.read_extent_checked("/f", 0, 13, 100),
-            ExtentRead::Data(b"lo".to_vec())
+            read(&s, "/f", 0, 13, 100),
+            (Residency::Resident, b"lo".to_vec())
         );
-        // Range entirely past the written end of a resident extent: empty
-        // data, still distinguishable from a hole.
+        // Range entirely past the written end of a resident extent: no
+        // bytes, still distinguishable from a hole.
+        assert_eq!(read(&s, "/f", 0, 50, 10), (Residency::Resident, Vec::new()));
+        // An open-ended range reads the whole extent without overflowing.
+        assert_eq!(read(&s, "/f", 0, 1, u64::MAX).1.len(), 14);
+        // The read appends: bytes already in the caller's buffer stay put.
+        let mut out = b"ab".to_vec();
         assert_eq!(
-            s.read_extent_checked("/f", 0, 50, 10),
-            ExtentRead::Data(Vec::new())
+            s.read_extent_into("/f", 0, 10, 2, &mut out),
+            Residency::Resident
         );
-        // The legacy accessor flattens both hole and short read (documented
-        // sparse-read contract).
-        assert_eq!(s.read_extent("/f", 5, 0, 8), Vec::<u8>::new());
-        assert_eq!(s.read_extent("/f", 0, 13, 100), b"lo");
+        assert_eq!(out, b"abhe");
+        assert_eq!(s.read_extent_into("/f", 5, 0, 8, &mut out), Residency::Hole);
+        assert_eq!(out, b"abhe");
     }
 
     #[test]
@@ -666,8 +676,8 @@ mod tests {
         assert_eq!(s.bytes_dirty(), 100);
         // The evicted extent reads as Evicted, never as zeros.
         assert_eq!(
-            s.read_extent_checked("/clean", 0, 0, 10),
-            ExtentRead::Evicted
+            read(&s, "/clean", 0, 0, 10),
+            (Residency::Evicted, Vec::new())
         );
         assert_eq!(s.evicted_extents(Some("/clean")).len(), 1);
         // Writing to an evicted extent is refused (stage in first).
@@ -676,10 +686,10 @@ mod tests {
             Err(FsError::NotResident(_))
         ));
         // Restore brings the bytes back clean.
-        s.restore_extent("/clean", 0, &[1u8; 100], false);
+        s.restore_extent("/clean", 0, vec![1u8; 100], false);
         assert_eq!(
-            s.read_extent_checked("/clean", 0, 0, 3),
-            ExtentRead::Data(vec![1, 1, 1])
+            read(&s, "/clean", 0, 0, 3),
+            (Residency::Resident, vec![1, 1, 1])
         );
         assert_eq!(s.bytes_stored(), 200);
         assert_eq!(s.bytes_dirty(), 100);
@@ -695,7 +705,7 @@ mod tests {
         s.evict_clean_until(0);
         // Restore-for-write: the extent comes back dirty, so eviction cannot
         // reclaim it before the write lands.
-        s.restore_extent("/w", 0, &[3u8; 64], true);
+        s.restore_extent("/w", 0, vec![3u8; 64], true);
         assert_eq!(s.bytes_dirty(), 64);
         assert!(s.evict_clean_until(0).is_empty());
         assert!(s.write_extent("/w", 0, 10, b"ok").is_ok());
@@ -730,7 +740,7 @@ mod tests {
         assert!(s.evicted_extents(None).is_empty());
         // The previously evicted stripe now reads as a hole (unlinked), not
         // Evicted.
-        assert_eq!(s.read_extent_checked("/a", 1, 0, 1), ExtentRead::Hole);
+        assert_eq!(read(&s, "/a", 1, 0, 1).0, Residency::Hole);
     }
 
     #[test]
@@ -748,7 +758,7 @@ mod tests {
         s.evict_clean_until(0);
         for _ in 0..3 {
             // Reader: observes Evicted, would fetch `tier_copy`.
-            assert_eq!(s.read_extent_checked("/rt", 0, 0, 64), ExtentRead::Evicted);
+            assert_eq!(read(&s, "/rt", 0, 0, 64).0, Residency::Evicted);
             // Evictor: nothing clean left; the evicted entry is stable.
             assert!(s.evict_clean_until(0).is_empty());
             assert_eq!(s.evicted_extents(Some("/rt")).len(), 1);
@@ -769,12 +779,13 @@ mod tests {
         s.mark_clean("/pin", 0, generation);
         s.evict_clean_until(0);
         // Writer: restore pinned dirty.
-        s.restore_extent("/pin", 0, &tier_copy, true);
+        s.restore_extent("/pin", 0, tier_copy, true);
         // Evictor fires between the restore and the write — full pressure.
         assert!(s.evict_clean_until(0).is_empty(), "pinned extent evicted");
         // Writer retries; the overwrite merges with the restored bytes.
         s.write_extent("/pin", 0, 10, b"ok").unwrap();
-        let got = s.read_extent("/pin", 0, 0, 128);
+        let (residency, got) = read(&s, "/pin", 0, 0, 128);
+        assert_eq!(residency, Residency::Resident);
         assert_eq!(&got[..10], &[5u8; 10]);
         assert_eq!(&got[10..12], b"ok");
         assert_eq!(&got[12..], &[5u8; 116]);
@@ -795,7 +806,7 @@ mod tests {
         let (data, g) = s.snapshot_extent("/g", 0).unwrap();
         assert!(s.mark_clean("/g", 0, g));
         s.evict_clean_until(0);
-        s.restore_extent("/g", 0, &data, true);
+        s.restore_extent("/g", 0, data, true);
         // The stale drain ack arrives now.
         assert!(!s.mark_clean("/g", 0, g), "stale generation accepted");
         assert_eq!(s.bytes_dirty(), 32, "pin must survive the stale ack");
@@ -840,7 +851,7 @@ mod tests {
         assert!(!s.mark_clean("/gone", 0, g));
         assert_eq!(s.bytes_dirty(), 0);
         assert_eq!(s.bytes_stored(), 0);
-        assert_eq!(s.read_extent_checked("/gone", 0, 0, 1), ExtentRead::Hole);
+        assert_eq!(read(&s, "/gone", 0, 0, 1).0, Residency::Hole);
     }
 
     #[test]
@@ -884,7 +895,7 @@ mod tests {
                                 // Writer must stage in first: restore-for-
                                 // write pinned, then retry.
                                 let copy = tier[stripe].clone().expect("evicted implies tier copy");
-                                s.restore_extent("/f", stripe as u64, &copy, true);
+                                s.restore_extent("/f", stripe as u64, copy, true);
                                 s.write_extent("/f", stripe as u64, 0, &vec![byte; len])
                                     .expect("restored extent must accept writes");
                                 if expected[stripe].len() < len {
@@ -928,35 +939,33 @@ mod tests {
                     }
                     // Stage-in: restore a random evicted stripe clean.
                     4 => {
-                        if matches!(
-                            s.read_extent_checked("/f", stripe as u64, 0, 1),
-                            ExtentRead::Evicted
-                        ) {
+                        if read(&s, "/f", stripe as u64, 0, 1).0 == Residency::Evicted {
                             let copy = tier[stripe].clone().expect("tier copy exists");
-                            s.restore_extent("/f", stripe as u64, &copy, false);
+                            s.restore_extent("/f", stripe as u64, copy, false);
                         }
                     }
                     // Reader: residency-aware read.
                     _ => {
-                        match s.read_extent_checked(
+                        match read(
+                            &s,
                             "/f",
                             stripe as u64,
                             0,
                             expected[stripe].len().max(1) as u64,
                         ) {
-                            ExtentRead::Data(d) => {
+                            (Residency::Resident, d) => {
                                 assert_eq!(
                                     d, expected[stripe],
                                     "case {case} step {step}: resident bytes diverged"
                                 );
                             }
-                            ExtentRead::Hole => {
+                            (Residency::Hole, _) => {
                                 assert!(
                                     expected[stripe].is_empty(),
                                     "case {case} step {step}: written stripe read as hole"
                                 );
                             }
-                            ExtentRead::Evicted => {
+                            (Residency::Evicted, _) => {
                                 // Read-through: the tier copy must match the
                                 // expected bytes exactly.
                                 assert_eq!(
@@ -982,6 +991,6 @@ mod tests {
         s.write_extent("/b", 0, 0, &[1u8; 10]).unwrap();
         assert_eq!(s.remove_extents("/a"), 75);
         assert_eq!(s.bytes_stored(), 10);
-        assert_eq!(s.read_extent("/b", 0, 0, 10).len(), 10);
+        assert_eq!(read(&s, "/b", 0, 0, 10).1.len(), 10);
     }
 }

@@ -1158,14 +1158,15 @@ impl ServerCore {
                 };
                 // Charge the capacity tier the read and the burst buffer the
                 // write-back.
+                let len = data.len() as u64;
                 let meta = st.pipeline.meta();
-                let read = IoRequest::new(0, meta, OpKind::Read, data.len() as u64, now_ns);
+                let read = IoRequest::new(0, meta, OpKind::Read, len, now_ns);
                 let (_, read_finish) = st.backing_device.dispatch(&read, now_ns);
-                let write = IoRequest::new(0, meta, OpKind::Write, data.len() as u64, read_finish);
+                let write = IoRequest::new(0, meta, OpKind::Write, len, read_finish);
                 self.device.dispatch(&write, read_finish);
                 self.fs
-                    .restore_extent_on(shard, &p, stripe, &data, pin_dirty);
-                restored += data.len() as u64;
+                    .restore_extent_on(shard, &p, stripe, data, pin_dirty);
+                restored += len;
             }
         }
         restored
@@ -1224,7 +1225,7 @@ impl ServerCore {
                         target.shard,
                         &target.path,
                         target.stripe,
-                        &data,
+                        data,
                         target.pin_dirty,
                     );
                 }

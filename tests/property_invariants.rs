@@ -373,6 +373,207 @@ fn fs_write_read_roundtrip() {
     });
 }
 
+/// The naive read the copy-once path replaced: zero-fill the whole clamped
+/// range, then copy each chunk's bytes out of an owned copy of its extent —
+/// the resident extent, or the fetcher's copy when the extent is evicted.
+fn naive_read(
+    fs: &BurstBufferFs,
+    path: &str,
+    offset: u64,
+    len: u64,
+    fetch: &dyn Fn(&str, u64) -> Option<Vec<u8>>,
+) -> Result<Vec<u8>, FsError> {
+    let size = fs.stat(path)?.size;
+    if offset >= size {
+        return Ok(Vec::new());
+    }
+    let len = len.min(size - offset);
+    let layout = fs.layout_of(path)?;
+    let mut out = vec![0u8; len as usize];
+    for chunk in layout.chunks(offset, len) {
+        let stripe = chunk.offset / layout.config.stripe_size;
+        let within = chunk.offset % layout.config.stripe_size;
+        let evicted = fs
+            .evicted_extents_on(chunk.server.0, Some(path))
+            .iter()
+            .any(|(_, s, _)| *s == stripe);
+        let extent = match fs.resident_extent_on(chunk.server.0, path, stripe) {
+            Some(extent) => extent,
+            None if evicted => {
+                fetch(path, stripe).ok_or_else(|| FsError::NotResident(path.to_string()))?
+            }
+            None => continue,
+        };
+        let start = within.min(extent.len() as u64) as usize;
+        let end = (within + chunk.len).min(extent.len() as u64) as usize;
+        let lo = (chunk.offset - offset) as usize;
+        out[lo..lo + (end - start)].copy_from_slice(&extent[start..end]);
+    }
+    Ok(out)
+}
+
+/// Differential test of the copy-once read path: `read_at_with`, `read_at`
+/// and `read_with` are byte-identical to [`naive_read`] over random ranges
+/// on multi-server striped layouts — reads crossing stripe boundaries,
+/// holes, extents shorter than their stripe, truncation at EOF, and evicted
+/// extents read through a fetcher that hits or misses (`NotResident`). When
+/// every fetch hits, both must also equal a flat shadow copy of the file.
+#[test]
+fn copy_once_read_matches_naive_reference() {
+    use std::collections::{BTreeMap, BTreeSet, HashSet};
+    // Coverage counters: every feature the test claims must actually occur.
+    let (mut crossing, mut holes, mut short, mut eof, mut hits, mut misses) = (0, 0, 0, 0, 0, 0);
+    cases(96, |rng, case| {
+        let servers = rng.gen_range(2usize..6);
+        let stripe_size = rng.gen_range(64u64..2048);
+        let stripe_count = rng.gen_range(2usize..5);
+        let fs = BurstBufferFs::with_stripe_config(
+            servers,
+            StripeConfig::new(stripe_size, stripe_count),
+        );
+        fs.create("/diff", 0).unwrap();
+
+        // Sparse writes of nonzero bytes (so a missing copy cannot pass for
+        // zero padding), each confined to one stripe and usually ending short
+        // of it; stripes no write touches stay holes.
+        let stripes = rng.gen_range(3u64..12);
+        let mut shadow: Vec<u8> = Vec::new();
+        for _ in 0..rng.gen_range(1usize..8) {
+            let stripe = rng.gen_range(0..stripes);
+            let within = rng.gen_range(0..stripe_size);
+            let len = rng.gen_range(1..stripe_size - within + 1);
+            let data: Vec<u8> = (0..len).map(|_| rng.gen_range(1u8..255)).collect();
+            let off = stripe * stripe_size + within;
+            fs.write_at("/diff", off, &data, 1).unwrap();
+            let end = (off + len) as usize;
+            if shadow.len() < end {
+                shadow.resize(end, 0);
+            }
+            shadow[off as usize..end].copy_from_slice(&data);
+        }
+        let size = fs.stat("/diff").unwrap().size;
+        assert_eq!(size, shadow.len() as u64, "case {case}");
+
+        // Drain a random half of the extents to the "tier", then evict the
+        // clean ones on some servers; the rest stay clean but resident.
+        let layout = fs.layout_of("/diff").unwrap();
+        let distinct: BTreeSet<usize> = layout.servers.iter().map(|s| s.0).collect();
+        let mut tier: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        for &server in &distinct {
+            for (path, stripe, _, _) in fs.dirty_extents_on(server, usize::MAX, &HashSet::new()) {
+                if rng.gen_bool(0.5) {
+                    let (data, generation) = fs.snapshot_extent_on(server, &path, stripe).unwrap();
+                    assert!(fs.mark_clean_on(server, &path, stripe, generation));
+                    tier.insert(stripe, data);
+                }
+            }
+            if rng.gen_bool(0.7) {
+                fs.evict_clean_on(server, 0);
+            }
+        }
+        let evicted: BTreeSet<u64> = distinct
+            .iter()
+            .flat_map(|&s| fs.evicted_extents_on(s, Some("/diff")))
+            .map(|(_, stripe, _)| stripe)
+            .collect();
+        let missing: BTreeSet<u64> = evicted
+            .iter()
+            .copied()
+            .filter(|_| rng.gen_bool(0.3))
+            .collect();
+        let fetch_all = |p: &str, stripe: u64| {
+            assert_eq!(p, "/diff");
+            tier.get(&stripe).cloned()
+        };
+        let fetch_some = |p: &str, stripe: u64| {
+            assert_eq!(p, "/diff");
+            tier.get(&stripe)
+                .filter(|_| !missing.contains(&stripe))
+                .cloned()
+        };
+        let fetch_none = |_: &str, _: u64| None;
+
+        for _ in 0..24 {
+            let offset = rng.gen_range(0..size + stripe_size);
+            let len = rng.gen_range(0..3 * stripe_size);
+            let chunks = layout.chunks(offset, len.min(size.saturating_sub(offset)));
+            crossing += usize::from(chunks.len() > 1);
+            eof += usize::from(offset + len > size);
+            for c in &chunks {
+                let stripe = c.offset / stripe_size;
+                let resident = fs.resident_extent_on(c.server.0, "/diff", stripe);
+                let within_end = c.offset % stripe_size + c.len;
+                match resident {
+                    Some(extent) if (extent.len() as u64) < within_end => short += 1,
+                    Some(_) => {}
+                    None if evicted.contains(&stripe) => {
+                        if missing.contains(&stripe) {
+                            misses += 1;
+                        } else {
+                            hits += 1;
+                        }
+                    }
+                    None => holes += 1,
+                }
+            }
+
+            let expected = naive_read(&fs, "/diff", offset, len, &fetch_all).unwrap();
+            let (lo, hi) = (offset.min(size) as usize, (offset + len).min(size) as usize);
+            assert_eq!(
+                expected,
+                shadow[lo..hi],
+                "case {case}: reference diverged from the shadow file"
+            );
+            let got = fs.read_at_with("/diff", offset, len, &fetch_all);
+            assert_eq!(
+                got,
+                Ok(expected),
+                "case {case}: read_at_with @{offset}+{len}"
+            );
+            for fetch in [
+                &fetch_some as &dyn Fn(&str, u64) -> Option<Vec<u8>>,
+                &fetch_none,
+            ] {
+                assert_eq!(
+                    fs.read_at_with("/diff", offset, len, fetch),
+                    naive_read(&fs, "/diff", offset, len, fetch),
+                    "case {case}: read_at_with @{offset}+{len} with a missing fetcher"
+                );
+            }
+            assert_eq!(
+                fs.read_at("/diff", offset, len),
+                naive_read(&fs, "/diff", offset, len, &fetch_none),
+                "case {case}: read_at @{offset}+{len}"
+            );
+            let fd = fs.open("/diff", OpenFlags::read_only(), 2).unwrap();
+            fs.lseek(fd, offset as i64, Whence::Set).unwrap();
+            let via_fd = fs.read_with(fd, len, &fetch_some);
+            assert_eq!(
+                via_fd,
+                naive_read(&fs, "/diff", offset, len, &fetch_some),
+                "case {case}: read_with @{offset}+{len}"
+            );
+            let advanced = via_fd.map_or(0, |d| d.len() as u64);
+            assert_eq!(
+                fs.lseek(fd, 0, Whence::Cur).unwrap(),
+                offset + advanced,
+                "case {case}: read_with cursor"
+            );
+            fs.close(fd).unwrap();
+        }
+    });
+    for (what, n) in [
+        ("stripe-crossing reads", crossing),
+        ("holes", holes),
+        ("short extents", short),
+        ("reads truncated at EOF", eof),
+        ("fetcher hits", hits),
+        ("fetcher misses", misses),
+    ] {
+        assert!(n > 0, "no case exercised {what}");
+    }
+}
+
 /// Consistent hashing: removing one server never moves a key that it did not
 /// own.
 #[test]
