@@ -1055,10 +1055,7 @@ pub fn staged_select_at_cardinality(jobs: usize) -> f64 {
     use themis_core::engine::PolicyEngine;
     use themis_core::job_table::JobTable;
     use themis_core::request::{Completion, IoRequest, OpKind};
-    use themis_stage::{
-        drain_meta, rebalance_meta, replicate_meta, restore_meta, scrub_meta, ClassWeights,
-        StagedEngine,
-    };
+    use themis_stage::{ClassWeights, StagedEngine, TrafficClass};
 
     let policy = Policy::job_fair();
     let mut engine = StagedEngine::with_weights(
@@ -1076,14 +1073,8 @@ pub fn staged_select_at_cardinality(jobs: usize) -> f64 {
         engine.admit(IoRequest::write(seq, *m, 1 << 20, 0));
         seq += 1;
     }
-    for bg in [
-        drain_meta(0),
-        restore_meta(0),
-        scrub_meta(0),
-        rebalance_meta(0),
-        replicate_meta(0),
-    ] {
-        engine.admit(IoRequest::new(seq, bg, OpKind::Read, 1 << 20, 0));
+    for class in TrafficClass::ALL {
+        engine.admit(IoRequest::new(seq, class.meta(0), OpKind::Read, 1 << 20, 0));
         seq += 1;
     }
     let mut rng = SmallRng::seed_from_u64(0x57a6);
@@ -1154,26 +1145,26 @@ pub fn staged_round(
 ) {
     use themis_core::engine::PolicyEngine;
     use themis_core::request::{Completion, IoRequest, OpKind};
-    use themis_stage::{drain_meta, restore_meta, scrub_meta};
+    use themis_stage::TrafficClass;
 
     engine.admit(IoRequest::write(*seq, fg, 1 << 20, 0));
     engine.admit(IoRequest::new(
         *seq + 1,
-        drain_meta(0),
+        TrafficClass::Drain.meta(0),
         OpKind::Read,
         1 << 20,
         0,
     ));
     engine.admit(IoRequest::new(
         *seq + 2,
-        restore_meta(0),
+        TrafficClass::Restore.meta(0),
         OpKind::Write,
         1 << 20,
         0,
     ));
     engine.admit(IoRequest::new(
         *seq + 3,
-        scrub_meta(0),
+        TrafficClass::Scrub.meta(0),
         OpKind::Read,
         1 << 20,
         0,

@@ -5,7 +5,8 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use themis_baselines::Algorithm;
 use themis_core::durability::DurabilitySpec;
@@ -183,6 +184,11 @@ impl CoreTelemetry {
     }
 }
 
+/// A class request waiting to land: `(finish_ns, class, seq,
+/// drained_generation)`. The generation is the drained snapshot's (the
+/// mark-clean guard) and `0` for every other class.
+type Landing = (u64, TrafficClass, u64, u64);
+
 /// The server-side staging state: the drain and restore pipelines, the
 /// capacity tier and its device timeline, plus work waiting on either
 /// pipeline.
@@ -201,23 +207,9 @@ struct StageState {
     replica_device: DeviceTimeline,
     /// The durability policy in force (`None`: every write is local-only).
     durability: Option<DurabilitySpec>,
-    /// `(capacity_write_finish_ns, seq, drained_generation)` of drains whose
-    /// burst-buffer read completed.
-    inflight_backing: Vec<(u64, u64, u64)>,
-    /// `(finish_ns, seq)` of restores the engine released, completing when
-    /// both the capacity-tier read and the burst-buffer write are done.
-    inflight_restores: Vec<(u64, u64)>,
-    /// `(finish_ns, seq)` of scrub verifications the engine released; the
-    /// checksum is judged when the capacity-tier read completes.
-    inflight_scrubs: Vec<(u64, u64)>,
-    /// `(finish_ns, seq)` of shard migrations the engine released; the
-    /// migration is applied to the sharded tier when its capacity-tier
-    /// transfers complete.
-    inflight_rebalances: Vec<(u64, u64)>,
-    /// `(replica_write_finish_ns, seq)` of replicate copies the engine
-    /// released; the extent's *current* bytes land on the replica tier when
-    /// the transfers complete.
-    inflight_replicates: Vec<(u64, u64)>,
+    /// Every class request the engine released and executed, waiting for
+    /// its device transfers to finish, earliest finish first.
+    landings: BinaryHeap<Reverse<Landing>>,
     /// Foreground `sync` write acks parked until the replicas of every
     /// stripe they dirtied land.
     pending_sync_acks: Vec<(ReadyReply, std::collections::HashSet<(String, u64)>)>,
@@ -394,11 +386,7 @@ impl ServerCore {
                 replica: CapacityTier::new(sc.backing_device),
                 replica_device: DeviceTimeline::new(DeviceModel::new(sc.backing_device)),
                 durability: sc.durability.clone(),
-                inflight_backing: Vec::new(),
-                inflight_restores: Vec::new(),
-                inflight_scrubs: Vec::new(),
-                inflight_rebalances: Vec::new(),
-                inflight_replicates: Vec::new(),
+                landings: BinaryHeap::new(),
                 pending_sync_acks: Vec::new(),
                 pending_flushes: Vec::new(),
                 parked_ops: Vec::new(),
@@ -626,28 +614,9 @@ impl ServerCore {
             let Some(request) = self.engine.select(now_ns, &mut self.rng) else {
                 break;
             };
-            match TrafficClass::of(request.meta.job) {
-                Some(TrafficClass::Drain) => {
-                    self.execute_drain(&request, now_ns);
-                    continue;
-                }
-                Some(TrafficClass::Restore) => {
-                    self.execute_restore(&request, now_ns);
-                    continue;
-                }
-                Some(TrafficClass::Scrub) => {
-                    self.execute_scrub(&request, now_ns);
-                    continue;
-                }
-                Some(TrafficClass::Rebalance) => {
-                    self.execute_rebalance(&request, now_ns);
-                    continue;
-                }
-                Some(TrafficClass::Replicate) => {
-                    self.execute_replicate(&request, now_ns);
-                    continue;
-                }
-                None => {}
+            if let Some(class) = TrafficClass::of(request.meta.job) {
+                self.execute_class(class, &request, now_ns);
+                continue;
             }
             let (request_id, op) = self
                 .pending
@@ -1172,73 +1141,46 @@ impl ServerCore {
         restored
     }
 
-    /// One staging maintenance pass: complete capacity-tier writes and
-    /// restores (waking parked foreground operations and pending stage-in
-    /// acks), evict under watermark pressure, admit fresh drain and restore
-    /// traffic, acknowledge finished flushes.
+    /// One staging maintenance pass: land class requests whose transfers
+    /// finished (waking parked foreground operations, pending stage-in acks
+    /// and parked `sync` acks), evict under watermark pressure, admit fresh
+    /// traffic of every class, acknowledge finished scrub passes and
+    /// flushes.
     fn stage_tick(&mut self, now_ns: u64, ready: &mut Vec<ReadyReply>) {
         let server = self.server_index;
         let Some(st) = self.staging.as_mut() else {
             return;
         };
 
-        // 1. Drains whose capacity-tier write finished: mark clean (unless a
-        //    concurrent write re-dirtied the extent — the generation check).
-        let mut i = 0;
-        while i < st.inflight_backing.len() {
-            if st.inflight_backing[i].0 <= now_ns {
-                let (_, seq, generation) = st.inflight_backing.swap_remove(i);
-                if let Some(d) = st.pipeline.complete(seq) {
-                    self.fs.mark_clean_on(server, &d.path, d.stripe, generation);
-                }
-            } else {
-                i += 1;
+        // 1. Landings whose transfers finished, in class (registry) order,
+        //    then finish time: drains mark extents clean before a same-tick
+        //    scrub judges them. Every landing runs *before* the eviction
+        //    pass, so neither a freshly restored extent nor a scrub repair's
+        //    burst-copy source can be reclaimed in the tick it is needed.
+        let mut due = Vec::new();
+        while let Some(&Reverse(landing)) = st.landings.peek() {
+            if landing.0 > now_ns {
+                break;
             }
+            st.landings.pop();
+            due.push(landing);
         }
-
-        // 1b. Restores whose device charges finished: copy the tier's
-        //     extent back into the shard and note the landed keys. This runs
-        //     *before* the eviction pass so a freshly restored extent cannot
-        //     be reclaimed out from under the parked op it was restored for.
+        due.sort_unstable_by_key(|&(finish_ns, class, seq, _)| (class, finish_ns, seq));
+        let (early, late) = due.split_at(due.partition_point(|l| l.1 <= TrafficClass::Restore));
         let mut landed: Vec<(usize, String, u64, u64)> = Vec::new();
-        let mut i = 0;
-        while i < st.inflight_restores.len() {
-            if st.inflight_restores[i].0 <= now_ns {
-                let (_, seq) = st.inflight_restores.swap_remove(i);
-                // Read the tier copy at completion time, not admission time:
-                // if the path was unlinked while the restore was in flight
-                // the copy is gone and the restore degrades to a no-op
-                // (delete wins here too). The read is *verified*: a corrupt
-                // tier copy must never be restored into the burst buffer,
-                // where it would pass for a clean repair source and launder
-                // the damage past every future scrub (the scrub pass
-                // quarantines it instead).
-                let data = st.restore.inflight(seq).and_then(|t| {
-                    themis_stage::verified_read_back(st.backing.as_ref(), &t.path, t.stripe)
-                });
-                let actual = data.as_ref().map(|d| d.len() as u64).unwrap_or(0);
-                let Some(target) = st.restore.complete(seq, actual) else {
-                    continue;
-                };
-                if let Some(data) = data {
-                    self.fs.restore_extent_on(
-                        target.shard,
-                        &target.path,
-                        target.stripe,
-                        data,
-                        target.pin_dirty,
-                    );
-                }
-                landed.push((target.shard, target.path, target.stripe, actual));
-            } else {
-                i += 1;
-            }
+        let mut replicated: Vec<(String, u64)> = Vec::new();
+        for &landing in early {
+            self.land(landing, now_ns, &mut landed, &mut replicated);
         }
 
-        // 1c. Wake waiters of the landed extents: pending stage-in acks
+        // 1b. Wake waiters of the landed restores: pending stage-in acks
         //     accumulate restored bytes, parked foreground ops whose last
         //     restore landed execute now (charged device time from `now`).
+        //     This runs between the restore and the scrub landings.
         if !landed.is_empty() {
+            let Some(st) = self.staging.as_mut() else {
+                return;
+            };
             let mut j = 0;
             while j < st.pending_stage_ins.len() {
                 let pending = &mut st.pending_stage_ins[j];
@@ -1313,25 +1255,151 @@ impl ServerCore {
             }
         }
 
+        for &landing in late {
+            self.land(landing, now_ns, &mut landed, &mut replicated);
+        }
         let Some(st) = self.staging.as_mut() else {
             return;
         };
 
-        // 1d. Scrub verifications whose capacity-tier read finished: judge
-        //     the copy against the checksum recorded at drain write-back
-        //     time. On a mismatch, repair from a clean resident burst copy;
-        //     defer to the pending drain when a concurrent foreground write
-        //     re-dirtied the extent (the generation guard — the scrubber
-        //     must never push unflushed data into the tier); quarantine when
-        //     no repair source remains. This runs *before* the eviction pass
-        //     so a repair's burst-copy source cannot be reclaimed in the
-        //     same tick it is needed.
-        let mut i = 0;
-        while i < st.inflight_scrubs.len() {
-            if st.inflight_scrubs[i].0 <= now_ns {
-                let (_, seq) = st.inflight_scrubs.swap_remove(i);
+        // 1c. Release the `sync` acks parked on the landed replica keys.
+        if !replicated.is_empty() {
+            let mut j = 0;
+            while j < st.pending_sync_acks.len() {
+                for key in &replicated {
+                    st.pending_sync_acks[j].1.remove(key);
+                }
+                if st.pending_sync_acks[j].1.is_empty() {
+                    let (reply, _) = st.pending_sync_acks.swap_remove(j);
+                    st.replicate.record_sync_released();
+                    ready.push(reply);
+                } else {
+                    j += 1;
+                }
+            }
+        }
+
+        // 2. Watermark eviction: reclaim clean extents down to the low
+        //    watermark. Dirty extents are never touched.
+        let cfg = *st.pipeline.config();
+        if self.fs.resident_bytes_on(server) > cfg.high_watermark_bytes {
+            let evicted = self.fs.evict_clean_on(server, cfg.low_watermark_bytes);
+            let bytes: u64 = evicted.iter().map(|(_, _, len)| len).sum();
+            if !evicted.is_empty() {
+                st.pipeline.record_eviction(evicted.len() as u64, bytes);
+            }
+        }
+
+        // 3. Admission: every class synthesizes its due work as policy-
+        //    arbitrated requests, in registry order.
+        for class in TrafficClass::ALL {
+            self.admit_class(class, now_ns);
+        }
+        let Some(st) = self.staging.as_mut() else {
+            return;
+        };
+
+        // 3b. Close the scrub pass once its cursor and inflight set drain,
+        //     resolving the deferred `Scrub` acknowledgements it answers
+        //     (including the trivially complete pass over an empty tier);
+        //     likewise close the rebalance pass.
+        if let Some(pass) = st.scrub.finish_pass_if_idle(now_ns) {
+            let status = st.scrub.status();
+            let mut j = 0;
+            while j < st.pending_scrubs.len() {
+                if st.pending_scrubs[j].1 <= pass {
+                    let (request_id, _) = st.pending_scrubs.swap_remove(j);
+                    self.stage_replies.push(StageReady {
+                        request_id,
+                        reply: StageReply::Scrub(status.clone()),
+                    });
+                } else {
+                    j += 1;
+                }
+            }
+        }
+        st.rebalance.finish_pass_if_idle();
+
+        // 4. Flushes whose path became clean locally.
+        let mut j = 0;
+        while j < st.pending_flushes.len() {
+            let path = &st.pending_flushes[j].1;
+            let busy = self.fs.path_dirty_on(server, path).unwrap_or(false)
+                || st.pipeline.has_inflight_for(path);
+            if busy {
+                j += 1;
+            } else {
+                let (request_id, path) = st.pending_flushes.swap_remove(j);
+                let backing_bytes = st.backing.bytes_for(&path);
+                self.stage_replies.push(StageReady {
+                    request_id,
+                    reply: StageReply::Flushed { backing_bytes },
+                });
+            }
+        }
+    }
+
+    /// Lands one class request whose device transfers finished, applying
+    /// its effect. Restores note their `(shard, path, stripe, bytes)` in
+    /// `landed` and replicate copies their key in `replicated`, so
+    /// [`ServerCore::stage_tick`] can release the waiters behind them.
+    fn land(
+        &mut self,
+        (_, class, seq, generation): Landing,
+        now_ns: u64,
+        landed: &mut Vec<(usize, String, u64, u64)>,
+        replicated: &mut Vec<(String, u64)>,
+    ) {
+        let server = self.server_index;
+        let Some(st) = self.staging.as_mut() else {
+            return;
+        };
+        match class {
+            // The capacity-tier write finished: mark clean (unless a
+            // concurrent write re-dirtied the extent — the generation check).
+            TrafficClass::Drain => {
+                if let Some(d) = st.pipeline.complete(seq) {
+                    self.fs.mark_clean_on(server, &d.path, d.stripe, generation);
+                }
+            }
+            // Copy the tier's extent back into the shard and note the landed
+            // key.
+            TrafficClass::Restore => {
+                // Read the tier copy at completion time, not admission time:
+                // if the path was unlinked while the restore was in flight
+                // the copy is gone and the restore degrades to a no-op
+                // (delete wins here too). The read is *verified*: a corrupt
+                // tier copy must never be restored into the burst buffer,
+                // where it would pass for a clean repair source and launder
+                // the damage past every future scrub (the scrub pass
+                // quarantines it instead).
+                let data = st.restore.inflight(seq).and_then(|t| {
+                    themis_stage::verified_read_back(st.backing.as_ref(), &t.path, t.stripe)
+                });
+                let actual = data.as_ref().map(|d| d.len() as u64).unwrap_or(0);
+                let Some(target) = st.restore.complete(seq, actual) else {
+                    return;
+                };
+                if let Some(data) = data {
+                    self.fs.restore_extent_on(
+                        target.shard,
+                        &target.path,
+                        target.stripe,
+                        data,
+                        target.pin_dirty,
+                    );
+                }
+                landed.push((target.shard, target.path, target.stripe, actual));
+            }
+            // Judge the tier copy against the checksum recorded at drain
+            // write-back time. On a mismatch, repair from a clean resident
+            // burst copy; defer to the pending drain when a concurrent
+            // foreground write re-dirtied the extent (the generation guard —
+            // the scrubber must never push unflushed data into the tier);
+            // quarantine when no repair source remains.
+            TrafficClass::Scrub => {
                 let Some(target) = st.scrub.complete(seq) else {
-                    continue;
+                    return;
                 };
                 match st
                     .backing
@@ -1378,29 +1446,21 @@ impl ServerCore {
                         }
                     }
                 }
-            } else {
-                i += 1;
             }
-        }
-
-        // 1e. Shard migrations whose capacity-tier transfers finished: apply
-        //     the plan against the sharded tier. The plan is re-derived at
-        //     apply time from the *current* map — a migration admitted under
-        //     a since-superseded map or for a since-unlinked extent degrades
-        //     to `Superseded` (delete wins) — and every copy re-verifies
-        //     against its write-back checksum, so a migration can heal an
-        //     under-replicated range but never launder a corrupt extent: with
-        //     no healthy replica it is refused (`Failed`) and the extent left
-        //     in place for the scrubber to quarantine.
-        let mut i = 0;
-        while i < st.inflight_rebalances.len() {
-            if st.inflight_rebalances[i].0 <= now_ns {
-                let (_, seq) = st.inflight_rebalances.swap_remove(i);
+            // Apply the migration plan against the sharded tier. The plan is
+            // re-derived at apply time from the *current* map — a migration
+            // admitted under a since-superseded map or for a since-unlinked
+            // extent degrades to `Superseded` (delete wins) — and every copy
+            // re-verifies against its write-back checksum, so a migration can
+            // heal an under-replicated range but never launder a corrupt
+            // extent: with no healthy replica it is refused (`Failed`) and
+            // the extent left in place for the scrubber to quarantine.
+            TrafficClass::Rebalance => {
                 let Some(plan) = st.rebalance.complete(seq) else {
-                    continue;
+                    return;
                 };
                 let Some(sharded) = st.backing.as_sharded() else {
-                    continue;
+                    return;
                 };
                 match sharded.apply_migration(&plan) {
                     MigrationOutcome::Migrated {
@@ -1411,25 +1471,16 @@ impl ServerCore {
                     MigrationOutcome::Superseded => st.rebalance.record_superseded(),
                     MigrationOutcome::Failed => st.rebalance.record_failed(),
                 }
-            } else {
-                i += 1;
             }
-        }
-
-        // 1f. Replicate copies whose replica-tier write finished: land the
-        //     extent's *current* bytes — a copy admitted before a re-dirtying
-        //     write still replicates the newest contents — and release any
-        //     `sync` acks parked on the landed keys. The source is the
-        //     resident burst extent when one exists, else the capacity
-        //     tier's copy through the verified seam: unverifiable bytes are
-        //     never replicated; the copy fails visibly instead.
-        let mut replicated: Vec<(String, u64)> = Vec::new();
-        let mut i = 0;
-        while i < st.inflight_replicates.len() {
-            if st.inflight_replicates[i].0 <= now_ns {
-                let (_, seq) = st.inflight_replicates.swap_remove(i);
+            // Land the extent's *current* bytes on the replica tier — a copy
+            // admitted before a re-dirtying write still replicates the newest
+            // contents. The source is the resident burst extent when one
+            // exists, else the capacity tier's copy through the verified
+            // seam: unverifiable bytes are never replicated; the copy fails
+            // visibly instead.
+            TrafficClass::Replicate => {
                 let Some(target) = st.replicate.complete(seq) else {
-                    continue;
+                    return;
                 };
                 // The extent lives on the shard its stripe hashes to, which
                 // may not be the server that executed the write.
@@ -1460,190 +1511,54 @@ impl ServerCore {
                     None => st.replicate.record_failed(),
                 }
                 replicated.push(target.key());
-            } else {
-                i += 1;
             }
         }
-        if !replicated.is_empty() {
-            let mut j = 0;
-            while j < st.pending_sync_acks.len() {
-                for key in &replicated {
-                    st.pending_sync_acks[j].1.remove(key);
-                }
-                if st.pending_sync_acks[j].1.is_empty() {
-                    let (reply, _) = st.pending_sync_acks.swap_remove(j);
-                    st.replicate.record_sync_released();
-                    ready.push(reply);
-                } else {
-                    j += 1;
-                }
-            }
-        }
+    }
 
-        // 2. Watermark eviction: reclaim clean extents down to the low
-        //    watermark. Dirty extents are never touched.
-        let cfg = *st.pipeline.config();
-        if self.fs.resident_bytes_on(server) > cfg.high_watermark_bytes {
-            let evicted = self.fs.evict_clean_on(server, cfg.low_watermark_bytes);
-            let bytes: u64 = evicted.iter().map(|(_, _, len)| len).sum();
-            if !evicted.is_empty() {
-                st.pipeline.record_eviction(evicted.len() as u64, bytes);
-            }
-        }
-
-        // 3. Background drain admission: synthesize policy-arbitrated drain
-        //    requests for dirty extents, up to the pipelining depth.
+    /// Feeds `class`'s due work to the policy engine, up to its pipeline's
+    /// depth: fresh dirty extents become drains, queued restore targets
+    /// restores and queued replica debt copies; when a pass is due (or
+    /// demanded) the scrub and rebalance cursors walk the capacity tier.
+    /// Each server scrubs and migrates exactly the tier extents whose
+    /// stripes its layout shard owns, so a multi-server deployment covers
+    /// the shared tier once; orphaned extents (no live layout) fall to
+    /// server 0. Rebalance is a no-op on an unsharded tier.
+    fn admit_class(&mut self, class: TrafficClass, now_ns: u64) {
+        let server = self.server_index;
+        let fs = &self.fs;
+        let Some(st) = self.staging.as_mut() else {
+            return;
+        };
+        let owns = |path: &str, stripe: u64| match fs.layout_of(path) {
+            Ok(layout) => layout.server_for_stripe(stripe).map(|id| id.0) == Some(server),
+            Err(_) => server == 0,
+        };
         let capacity = st.pipeline.admission_capacity();
-        if capacity > 0 {
-            let candidates =
-                self.fs
-                    .dirty_extents_on(server, capacity, st.pipeline.inflight_keys());
-            for (path, stripe, generation, len) in candidates {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                let request = st
-                    .pipeline
-                    .admit(seq, path, stripe, generation, len.max(1), now_ns);
-                self.engine.admit(request);
+        let mut dirty = match class {
+            TrafficClass::Drain if capacity > 0 => {
+                fs.dirty_extents_on(server, capacity, st.pipeline.inflight_keys())
             }
+            _ => Vec::new(),
         }
-
-        // 3b. Restore admission: queued restore targets become policy-
-        //     arbitrated restore requests, up to the pipelining depth.
-        self.admit_restores(now_ns);
-
-        // 3c. Scrub admission: when a pass is due (continuous scrubbing or
-        //     an explicit `Scrub` demand), walk the capacity tier's extents
-        //     this server owns and synthesize policy-arbitrated verification
-        //     requests — then resolve any deferred `Scrub` acknowledgements
-        //     whose pass just completed (including the trivially complete
-        //     pass over an empty tier).
-        self.admit_scrubs(now_ns);
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-        if let Some(pass) = st.scrub.finish_pass_if_idle(now_ns) {
-            let status = st.scrub.status();
-            let mut j = 0;
-            while j < st.pending_scrubs.len() {
-                if st.pending_scrubs[j].1 <= pass {
-                    let (request_id, _) = st.pending_scrubs.swap_remove(j);
-                    self.stage_replies.push(StageReady {
-                        request_id,
-                        reply: StageReply::Scrub(status.clone()),
-                    });
-                } else {
-                    j += 1;
-                }
-            }
-        }
-
-        // 3d. Rebalance admission: when the sharded tier's map generation
-        //     moved past the last converged one (or a heal pass was forced),
-        //     walk the misplaced extents this server's shard owns and
-        //     synthesize policy-arbitrated migration requests — then close
-        //     the pass once the cursor and the inflight set both drain.
-        self.admit_rebalances(now_ns);
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-        st.rebalance.finish_pass_if_idle();
-
-        // 3e. Replicate admission: queued replica debt becomes policy-
-        //     arbitrated copy requests, up to the pipelining depth.
-        self.admit_replicates(now_ns);
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-
-        // 4. Flushes whose path became clean locally.
-        let mut j = 0;
-        while j < st.pending_flushes.len() {
-            let path = &st.pending_flushes[j].1;
-            let busy = self.fs.path_dirty_on(server, path).unwrap_or(false)
-                || st.pipeline.has_inflight_for(path);
-            if busy {
-                j += 1;
-            } else {
-                let (request_id, path) = st.pending_flushes.swap_remove(j);
-                let backing_bytes = st.backing.bytes_for(&path);
-                self.stage_replies.push(StageReady {
-                    request_id,
-                    reply: StageReply::Flushed { backing_bytes },
-                });
-            }
-        }
-    }
-
-    /// Feeds queued restore targets to the policy engine, up to the restore
-    /// pipeline's depth.
-    fn admit_restores(&mut self, now_ns: u64) {
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-        while let Some(request) = st.restore.admit_next(self.next_seq, now_ns) {
-            self.next_seq += 1;
-            self.engine.admit(request);
-        }
-    }
-
-    /// Feeds due scrub verifications to the policy engine, up to the scrub
-    /// pipeline's depth. Each server verifies exactly the tier extents whose
-    /// stripes its shard owns, so a multi-server deployment scrubs the
-    /// shared tier once; orphaned extents (no live layout) fall to server 0.
-    fn admit_scrubs(&mut self, now_ns: u64) {
-        let fs = self.fs.clone();
-        let server = self.server_index;
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-        let owns = |path: &str, stripe: u64| match fs.layout_of(path) {
-            Ok(layout) => layout.server_for_stripe(stripe).map(|id| id.0) == Some(server),
-            Err(_) => server == 0,
-        };
-        while let Some(request) =
-            st.scrub
-                .admit_next(self.next_seq, now_ns, st.backing.as_ref(), owns)
-        {
-            self.next_seq += 1;
-            self.engine.admit(request);
-        }
-    }
-
-    /// Feeds due shard migrations to the policy engine, up to the rebalance
-    /// pipeline's depth. The same ownership split as scrubbing: each server
-    /// migrates exactly the tier extents whose stripes its layout shard
-    /// owns, so a multi-server deployment re-places the shared tier once;
-    /// orphaned extents fall to server 0. A no-op on an unsharded tier.
-    fn admit_rebalances(&mut self, now_ns: u64) {
-        let fs = self.fs.clone();
-        let server = self.server_index;
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-        let Some(sharded) = st.backing.as_sharded() else {
-            return;
-        };
-        let owns = |path: &str, stripe: u64| match fs.layout_of(path) {
-            Ok(layout) => layout.server_for_stripe(stripe).map(|id| id.0) == Some(server),
-            Err(_) => server == 0,
-        };
-        while let Some(request) = st
-            .rebalance
-            .admit_next(self.next_seq, now_ns, sharded, owns)
-        {
-            self.next_seq += 1;
-            self.engine.admit(request);
-        }
-    }
-
-    /// Feeds queued replicate copies to the policy engine, up to the
-    /// replicate pipeline's depth.
-    fn admit_replicates(&mut self, now_ns: u64) {
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-        while let Some(request) = st.replicate.admit_next(self.next_seq, now_ns) {
+        .into_iter();
+        loop {
+            let seq = self.next_seq;
+            let request = match class {
+                TrafficClass::Drain => dirty.next().map(|(path, stripe, generation, len)| {
+                    st.pipeline
+                        .admit(seq, path, stripe, generation, len.max(1), now_ns)
+                }),
+                TrafficClass::Restore => st.restore.admit_next(seq, now_ns),
+                TrafficClass::Scrub => st.scrub.admit_next(seq, now_ns, st.backing.as_ref(), owns),
+                TrafficClass::Rebalance => st
+                    .backing
+                    .as_sharded()
+                    .and_then(|sharded| st.rebalance.admit_next(seq, now_ns, sharded, owns)),
+                TrafficClass::Replicate => st.replicate.admit_next(seq, now_ns),
+            };
+            let Some(request) = request else {
+                break;
+            };
             self.next_seq += 1;
             self.engine.admit(request);
         }
@@ -1741,7 +1656,7 @@ impl ServerCore {
         }
         // Give the engine the fresh copy work immediately so it competes in
         // this same poll.
-        self.admit_replicates(now_ns);
+        self.admit_class(TrafficClass::Replicate, now_ns);
     }
 
     /// The evicted extents a foreground operation's byte range touches, as
@@ -1917,7 +1832,7 @@ impl ServerCore {
         self.trace_park_event(now_ns, TraceKind::Park, request);
         // Give the engine the new restore work immediately so it competes in
         // this same poll.
-        self.admit_restores(now_ns);
+        self.admit_class(TrafficClass::Restore, now_ns);
         true
     }
 
@@ -1972,132 +1887,45 @@ impl ServerCore {
         true
     }
 
-    /// Executes a restore request the engine released: the burst-buffer
-    /// device is charged the extent write (the slot the engine granted) and
-    /// the capacity tier is charged the read in parallel; the extent lands
-    /// in the shard when both finish (in a later [`ServerCore::poll`]).
-    fn execute_restore(&mut self, request: &IoRequest, now_ns: u64) {
+    /// Executes a class request the engine released. The burst-buffer
+    /// device is charged the slot the engine granted — what keeps each class
+    /// bounded by its foreground:class weight — and the tier on the other
+    /// side of the transfer is charged at its own speed; the request lands
+    /// (in a later [`ServerCore::poll`], see [`ServerCore::land`]) when
+    /// every transfer has finished:
+    ///
+    /// * drain — the slot reads the extent snapshot, and the capacity tier
+    ///   write is sequenced after it;
+    /// * restore, scrub — the capacity-tier read runs in parallel with the
+    ///   slot;
+    /// * rebalance — the capacity tier is charged the verified source read
+    ///   followed by the replica writes, one per copy the plan places;
+    /// * replicate — the slot reads the source, and the replica-tier write
+    ///   is sequenced after it. The copy's bytes are fetched at landing, so
+    ///   a re-dirtied extent replicates its latest contents.
+    fn execute_class(&mut self, class: TrafficClass, request: &IoRequest, now_ns: u64) {
         let (_, burst_finish) = self.device.dispatch(request, now_ns);
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-        let Some(target) = st.restore.inflight(request.seq) else {
-            return;
-        };
-        let read = IoRequest::new(
-            request.seq,
-            st.restore.meta(),
-            OpKind::Read,
-            target.bytes.max(1),
-            now_ns,
-        );
-        let (_, backing_finish) = st.backing_device.dispatch(&read, now_ns);
-        st.inflight_restores
-            .push((burst_finish.max(backing_finish), request.seq));
-    }
-
-    /// Executes a scrub request the engine released: the burst-buffer
-    /// device is charged the verification's service slot (the slot the
-    /// engine granted, which is what keeps scrubbing bounded by its
-    /// foreground:scrub weight) and the capacity tier is charged the read
-    /// that actually fetches the copy, in parallel. The checksum is judged
-    /// when both finish (in a later [`ServerCore::poll`]).
-    fn execute_scrub(&mut self, request: &IoRequest, now_ns: u64) {
-        let (_, burst_finish) = self.device.dispatch(request, now_ns);
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-        let Some(target) = st.scrub.inflight(request.seq) else {
-            return;
-        };
-        let read = IoRequest::new(
-            request.seq,
-            st.scrub.meta(),
-            OpKind::Read,
-            target.bytes.max(1),
-            now_ns,
-        );
-        let (_, backing_finish) = st.backing_device.dispatch(&read, now_ns);
-        st.inflight_scrubs
-            .push((burst_finish.max(backing_finish), request.seq));
-    }
-
-    /// Executes a shard migration the engine released: the burst-buffer
-    /// device is charged the migration's service slot (what keeps
-    /// rebalancing bounded by its foreground:rebalance weight) and the
-    /// capacity tier is charged the verified source read followed by the
-    /// replica writes — one write per copy the plan places — at the tier's
-    /// own speed. The migration is applied when the transfers finish (in a
-    /// later [`ServerCore::poll`]).
-    fn execute_rebalance(&mut self, request: &IoRequest, now_ns: u64) {
-        let (_, burst_finish) = self.device.dispatch(request, now_ns);
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-        let Some(plan) = st.rebalance.inflight(request.seq) else {
-            return;
-        };
-        let meta = st.rebalance.meta();
-        let bytes = plan.bytes.max(1);
-        let copies = plan.copy_to.len().max(1) as u64;
-        let read = IoRequest::new(request.seq, meta, OpKind::Read, bytes, now_ns);
-        let (_, read_finish) = st.backing_device.dispatch(&read, now_ns);
-        let write = IoRequest::new(
-            request.seq,
-            meta,
-            OpKind::Write,
-            bytes * copies,
-            read_finish,
-        );
-        let (_, write_finish) = st.backing_device.dispatch(&write, read_finish);
-        st.inflight_rebalances
-            .push((burst_finish.max(write_finish), request.seq));
-    }
-
-    /// Executes a replicate copy the engine released: the burst-buffer
-    /// device is charged the source read (the slot the engine granted —
-    /// what keeps replication bounded by its foreground:replicate weight)
-    /// and the replica tier is charged the copy's write at its own speed,
-    /// sequenced after the read. The copy's bytes are fetched when the
-    /// transfers finish (in a later [`ServerCore::poll`]), so a re-dirtied
-    /// extent replicates its latest contents.
-    fn execute_replicate(&mut self, request: &IoRequest, now_ns: u64) {
-        let (_, burst_finish) = self.device.dispatch(request, now_ns);
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-        let Some(target) = st.replicate.inflight(request.seq) else {
-            return;
-        };
-        let write = IoRequest::new(
-            request.seq,
-            st.replicate.meta(),
-            OpKind::Write,
-            target.bytes.max(1),
-            burst_finish,
-        );
-        let (_, replica_finish) = st.replica_device.dispatch(&write, burst_finish);
-        st.inflight_replicates.push((replica_finish, request.seq));
-    }
-
-    /// Executes a drain request the engine released: read the extent
-    /// snapshot off the burst-buffer device, then write it to the capacity
-    /// tier at the tier's own speed. The extent is marked clean when the
-    /// capacity-tier write completes (in a later [`ServerCore::poll`]).
-    fn execute_drain(&mut self, request: &IoRequest, now_ns: u64) {
-        let (_, finish_ns) = self.device.dispatch(request, now_ns);
         let server = self.server_index;
-        let fs = self.fs.clone();
+        let seq = request.seq;
         let Some(st) = self.staging.as_mut() else {
             return;
         };
-        let Some(d) = st.pipeline.inflight(request.seq) else {
-            return;
-        };
-        // Snapshot at service time — the extent may have been overwritten
-        // (or drained and unlinked) since admission.
-        match self.fs.snapshot_extent_on(server, &d.path, d.stripe) {
-            Some((data, generation)) => {
+        let meta = class.meta(server);
+        let (finish_ns, generation) = match class {
+            TrafficClass::Drain => {
+                let Some(d) = st.pipeline.inflight(seq) else {
+                    return;
+                };
+                // Snapshot at service time — the extent may have been
+                // overwritten (or drained and unlinked) since admission.
+                let Some((data, generation)) =
+                    self.fs.snapshot_extent_on(server, &d.path, d.stripe)
+                else {
+                    // Nothing dirty any more (unlinked or already clean): the
+                    // drain is a no-op.
+                    st.pipeline.complete(seq);
+                    return;
+                };
                 // Delete-wins: a peer's unlink or truncate can land between
                 // the snapshot above and this write-back; the guarded write
                 // re-probes afterwards so the shared tier never keeps a
@@ -2107,40 +1935,65 @@ impl ServerCore {
                 // "this extent can no longer legitimately exist" for both
                 // races.
                 let path = d.path.clone();
-                let stripe_start = d.stripe
+                let stripe = d.stripe;
+                let stripe_start = stripe
                     * self
                         .fs
                         .layout_of(&path)
                         .map(|l| l.config.stripe_size.max(1))
                         .unwrap_or(1);
-                let stripe = d.stripe;
                 let kept = write_back_guarded(st.backing.as_ref(), &path, stripe, &data, || {
-                    fs.stat(&path).is_ok_and(|s| s.size > stripe_start)
+                    self.fs.stat(&path).is_ok_and(|s| s.size > stripe_start)
                 });
                 if !kept {
-                    st.pipeline.complete(request.seq);
+                    st.pipeline.complete(seq);
                     return;
                 }
                 // The write-back recomputed the extent's checksum, so a
                 // previously quarantined copy is sound again.
                 st.scrub.unquarantine(&path, stripe);
-                let write = IoRequest::new(
-                    request.seq,
-                    st.pipeline.meta(),
-                    OpKind::Write,
-                    data.len() as u64,
-                    finish_ns,
-                );
-                let (_, backing_finish) = st.backing_device.dispatch(&write, finish_ns);
-                st.inflight_backing
-                    .push((backing_finish, request.seq, generation));
+                let write =
+                    IoRequest::new(seq, meta, OpKind::Write, data.len() as u64, burst_finish);
+                (
+                    st.backing_device.dispatch(&write, burst_finish).1,
+                    generation,
+                )
             }
-            None => {
-                // Nothing dirty any more (unlinked or already clean): the
-                // drain is a no-op.
-                st.pipeline.complete(request.seq);
+            TrafficClass::Restore | TrafficClass::Scrub => {
+                let bytes = match class {
+                    TrafficClass::Restore => st.restore.inflight(seq).map(|t| t.bytes),
+                    _ => st.scrub.inflight(seq).map(|t| t.bytes),
+                };
+                let Some(bytes) = bytes else {
+                    return;
+                };
+                let read = IoRequest::new(seq, meta, OpKind::Read, bytes.max(1), now_ns);
+                let (_, backing_finish) = st.backing_device.dispatch(&read, now_ns);
+                (burst_finish.max(backing_finish), 0)
             }
-        }
+            TrafficClass::Rebalance => {
+                let Some(plan) = st.rebalance.inflight(seq) else {
+                    return;
+                };
+                let bytes = plan.bytes.max(1);
+                let copies = plan.copy_to.len().max(1) as u64;
+                let read = IoRequest::new(seq, meta, OpKind::Read, bytes, now_ns);
+                let (_, read_finish) = st.backing_device.dispatch(&read, now_ns);
+                let write = IoRequest::new(seq, meta, OpKind::Write, bytes * copies, read_finish);
+                let (_, write_finish) = st.backing_device.dispatch(&write, read_finish);
+                (burst_finish.max(write_finish), 0)
+            }
+            TrafficClass::Replicate => {
+                let Some(target) = st.replicate.inflight(seq) else {
+                    return;
+                };
+                let write =
+                    IoRequest::new(seq, meta, OpKind::Write, target.bytes.max(1), burst_finish);
+                (st.replica_device.dispatch(&write, burst_finish).1, 0)
+            }
+        };
+        st.landings
+            .push(Reverse((finish_ns, class, seq, generation)));
     }
 
     /// Executes one file system operation (the data path of §4.3). With
@@ -3542,5 +3395,128 @@ mod tests {
         // And the ack was genuinely deferred past the write's own
         // completion poll.
         assert!(acked_at.unwrap() > 1_000);
+    }
+
+    /// The classes waiting in the landing queue, in class order.
+    fn landing_classes(s: &ServerCore) -> Vec<TrafficClass> {
+        let st = s.staging.as_ref().expect("staging enabled");
+        let mut classes: Vec<_> = st.landings.iter().map(|Reverse(l)| l.1).collect();
+        classes.sort_unstable();
+        classes.dedup();
+        classes
+    }
+
+    /// With a drain, a restore behind a parked read, a scrub verification,
+    /// a shard migration and a replicate copy all waiting to land, a single
+    /// poll past every finish time lands them all and applies each class's
+    /// effect, leaving no class work in flight.
+    #[test]
+    fn one_poll_lands_every_class() {
+        // A tier whose per-op latency dwarfs the burst device's, so every
+        // class request sits in the landing queue for milliseconds.
+        let slow_tier = DeviceConfig {
+            per_op_overhead_ns: 10_000_000,
+            ..DeviceConfig::capacity_hdd()
+        };
+        let mut staging = durable_staging(DurabilitySpec::new(DurabilityMode::LocalPlusOne));
+        staging.backing_device = slow_tier;
+        staging.sharding = Some(themis_stage::ShardSpec {
+            map: "00-ff=0".into(),
+            replication: 1,
+            backends: vec![slow_tier, slow_tier],
+        });
+        // Every clean extent is evicted as soon as it drains.
+        staging.drain.high_watermark_bytes = 1;
+        staging.drain.low_watermark_bytes = 0;
+        // Scrubbing is on, but only the demanded pass falls in this test.
+        staging.drain.classes = staging.drain.classes.enable(TrafficClass::Scrub, 16);
+        staging.drain.scrub_interval_ns = 1 << 60;
+        let mut s = staged_server(staging);
+        s.heartbeat(meta(1, 1), 0);
+        let extent = 64 << 10;
+
+        // "/a" is drained, replicated and evicted before the test window.
+        write_file(&mut s, "/a", extent, 0);
+        let mut t = 100_000;
+        while !(s.drain_status_snapshot().unwrap().resident_bytes == 0
+            && s.replicate_status_snapshot().unwrap().is_idle())
+        {
+            s.poll(t);
+            t += 100_000;
+            assert!(t < 60_000_000_000, "setup never quiesced");
+        }
+        assert!(landing_classes(&s).is_empty());
+        let scrubs_before = s.scrub_status_snapshot().unwrap().passes_completed;
+
+        // Dirty "/b" (owing a drain and a replica), demand a scrub pass,
+        // reshard the tier (a migration of "/a") and read evicted "/a"
+        // (parked behind a restore).
+        write_file(&mut s, "/b", extent, t);
+        {
+            let st = s.staging.as_ref().unwrap();
+            st.backing
+                .as_sharded()
+                .unwrap()
+                .install_map(themis_stage::ShardMap::parse("00-7f=0,80-ff=1").unwrap(), 2)
+                .unwrap();
+        }
+        s.scrub(700);
+        s.submit(
+            701,
+            meta(1, 1),
+            FsOp::ReadAt {
+                path: "/a".into(),
+                offset: 0,
+                len: extent as u64,
+            },
+            t,
+        );
+        while landing_classes(&s) != TrafficClass::ALL {
+            let replies = s.poll(t);
+            assert!(
+                replies.iter().all(|r| r.request_id != 701),
+                "read not parked"
+            );
+            t += 10_000;
+            assert!(t < 60_000_000_000, "classes never all in flight at once");
+        }
+
+        // One poll past every finish time lands everything.
+        let last = {
+            let st = s.staging.as_ref().unwrap();
+            st.landings.iter().map(|Reverse(l)| l.0).max().unwrap()
+        };
+        let replies = s.poll(last + 1);
+        {
+            let st = s.staging.as_ref().unwrap();
+            assert!(st.landings.is_empty());
+            assert_eq!(st.pipeline.inflight_len(), 0);
+            assert!(!st.restore.is_busy());
+            assert!(!st.scrub.is_busy());
+            assert!(!st.rebalance.is_busy());
+            assert!(!st.replicate.is_busy());
+        }
+        // Drain: "/b" is clean.
+        assert_eq!(s.drain_status_snapshot().unwrap().dirty_bytes, 0);
+        // Restore: the parked read woke with "/a"'s bytes.
+        let read = replies.iter().find(|r| r.request_id == 701);
+        assert!(
+            matches!(read, Some(ReadyReply { reply: FsReply::Data(d), .. }) if *d == vec![0xAB; extent]),
+            "{read:?}"
+        );
+        // Scrub: the demanded pass completed and was acknowledged.
+        let scrub = s.scrub_status_snapshot().unwrap();
+        assert_eq!(scrub.passes_completed, scrubs_before + 1);
+        let stage = s.take_stage_replies();
+        assert!(
+            stage
+                .iter()
+                .any(|r| r.request_id == 700 && matches!(r.reply, StageReply::Scrub(_))),
+            "{stage:?}"
+        );
+        // Rebalance: the migration was applied.
+        assert!(s.rebalance_status_snapshot().unwrap().migrated_extents >= 1);
+        // Replicate: "/b"'s replica landed.
+        assert_eq!(s.replica_extent("/b", 0), Some(vec![0xAB; extent]));
     }
 }

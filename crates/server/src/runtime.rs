@@ -20,27 +20,29 @@ use themis_net::PeerMessage;
 use themis_stage::{BackingStore, CapacityTier};
 use themis_telemetry::MetricsRegistry;
 
-/// A registrar message: a new connection id plus the server-side reply
-/// endpoint for it.
-type Registration = (usize, Endpoint<ServerMessage>);
-/// An inbound client message tagged with its connection id.
-type TaggedMessage = (usize, ClientMessage);
+/// What a server's inbox carries for one connection.
+#[derive(Debug)]
+enum Inbound {
+    /// A new connection and the server-side endpoint its replies go to.
+    /// [`Deployment::connect`] enqueues it before returning, so FIFO order
+    /// puts it ahead of the connection's first message.
+    Connect(Endpoint<ServerMessage>),
+    /// A message from the client.
+    Message(ClientMessage),
+}
+
+/// An inbox entry tagged with its connection id.
+type Tagged = (usize, Inbound);
 
 /// A deployment of one or more ThemisIO servers over a shared burst-buffer
 /// file system.
 pub struct Deployment {
     fs: BurstBufferFs,
-    registrars: Vec<Sender<Registration>>,
-    /// Paired with `registrars`: the client-facing endpoints handed to the
-    /// registrar are created by `connect`.
-    inboxes: Vec<Sender<TaggedMessage>>,
+    /// One inbox per server, carrying connects and client messages alike.
+    inboxes: Vec<Sender<Tagged>>,
     stop: Arc<AtomicBool>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     n_servers: usize,
-}
-
-struct ClientSlot {
-    endpoint: Endpoint<ServerMessage>,
 }
 
 impl Deployment {
@@ -53,7 +55,6 @@ impl Deployment {
         let fs = BurstBufferFs::new(n);
         let fabric = Arc::new(PeerFabric::<PeerMessage>::new(n));
         let stop = Arc::new(AtomicBool::new(false));
-        let mut registrars = Vec::with_capacity(n);
         let mut inboxes = Vec::with_capacity(n);
         let mut threads = Vec::with_capacity(n);
 
@@ -67,9 +68,7 @@ impl Deployment {
         let registry = MetricsRegistry::new();
 
         for idx in 0..n {
-            let (reg_tx, reg_rx): (Sender<Registration>, Receiver<Registration>) = unbounded();
-            let (in_tx, in_rx): (Sender<TaggedMessage>, Receiver<TaggedMessage>) = unbounded();
-            registrars.push(reg_tx);
+            let (in_tx, in_rx): (Sender<Tagged>, Receiver<Tagged>) = unbounded();
             inboxes.push(in_tx);
             let config = config_for(idx);
             let backing = config.staging.as_ref().map(|sc| {
@@ -82,13 +81,12 @@ impl Deployment {
             let fabric = Arc::clone(&fabric);
             let stop = Arc::clone(&stop);
             threads.push(std::thread::spawn(move || {
-                server_loop(core, reg_rx, in_rx, fabric, stop);
+                server_loop(core, in_rx, fabric, stop);
             }));
         }
 
         Deployment {
             fs,
-            registrars,
             inboxes,
             stop,
             threads: Mutex::new(threads),
@@ -114,12 +112,12 @@ impl Deployment {
         let idx = server_index % self.n_servers;
         let (client_end, server_end) = channel_pair::<ServerMessage>();
         // The server thread learns about the new client and its reply
-        // endpoint through the registrar channel; requests flow through the
-        // shared inbox, tagged with the connection id.
+        // endpoint through the same inbox its requests flow through, tagged
+        // with the connection id.
         static NEXT_CONN: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(1);
         let conn_id = NEXT_CONN.fetch_add(1, Ordering::Relaxed);
-        self.registrars[idx]
-            .send((conn_id, server_end))
+        self.inboxes[idx]
+            .send((conn_id, Inbound::Connect(server_end)))
             .expect("server thread alive");
         ClientConnection {
             server_index: idx,
@@ -150,14 +148,14 @@ pub struct ClientConnection {
     /// Index of the server this connection talks to.
     pub server_index: usize,
     conn_id: usize,
-    to_server: Sender<TaggedMessage>,
+    to_server: Sender<Tagged>,
     from_server: Endpoint<ServerMessage>,
 }
 
 impl ClientConnection {
     /// Sends a message to the server.
     pub fn send(&self, msg: ClientMessage) {
-        let _ = self.to_server.send((self.conn_id, msg));
+        let _ = self.to_server.send((self.conn_id, Inbound::Message(msg)));
     }
 
     /// Blocks until the next message from the server arrives (or the server
@@ -176,33 +174,14 @@ fn now_ns(epoch: Instant) -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
 
-/// Resolves `conn_id` to its reply endpoint, draining any registrations
-/// still queued in the registrar first. A client may register and send its
-/// first message back-to-back; without the re-drain the server could process
-/// the message while the registration is still in flight and silently drop
-/// the reply.
-fn ensure_client<'a>(
-    clients: &'a mut std::collections::HashMap<usize, ClientSlot>,
-    registrar: &Receiver<Registration>,
-    conn_id: usize,
-) -> Option<&'a ClientSlot> {
-    if !clients.contains_key(&conn_id) {
-        while let Ok((id, endpoint)) = registrar.try_recv() {
-            clients.insert(id, ClientSlot { endpoint });
-        }
-    }
-    clients.get(&conn_id)
-}
-
 fn server_loop(
     mut core: ServerCore,
-    registrar: Receiver<Registration>,
-    inbox: Receiver<TaggedMessage>,
+    inbox: Receiver<Tagged>,
     fabric: Arc<PeerFabric<PeerMessage>>,
     stop: Arc<AtomicBool>,
 ) {
     let epoch = Instant::now();
-    let mut clients: std::collections::HashMap<usize, ClientSlot> =
+    let mut clients: std::collections::HashMap<usize, Endpoint<ServerMessage>> =
         std::collections::HashMap::new();
     // Request ids are only unique per connection (every client numbers its
     // own requests from zero), so a route keyed by the raw id would collide
@@ -227,20 +206,21 @@ fn server_loop(
         let now = now_ns(epoch);
         let mut did_work = false;
 
-        // Accept new connections.
-        while let Ok((conn_id, endpoint)) = registrar.try_recv() {
-            clients.insert(conn_id, ClientSlot { endpoint });
+        // Accept new connections and drain client messages.
+        while let Ok((conn_id, inbound)) = inbox.try_recv() {
             did_work = true;
-        }
-
-        // Drain client messages.
-        while let Ok((conn_id, msg)) = inbox.try_recv() {
-            did_work = true;
+            let msg = match inbound {
+                Inbound::Connect(endpoint) => {
+                    clients.insert(conn_id, endpoint);
+                    continue;
+                }
+                Inbound::Message(msg) => msg,
+            };
             match msg {
                 ClientMessage::Hello { meta } | ClientMessage::Heartbeat { meta, .. } => {
                     core.heartbeat(meta, now);
-                    if let Some(c) = ensure_client(&mut clients, &registrar, conn_id) {
-                        let _ = c.endpoint.send(ServerMessage::Ack {
+                    if let Some(c) = clients.get(&conn_id) {
+                        let _ = c.send(ServerMessage::Ack {
                             policy: core.policy().to_string(),
                             epoch: core.policy_epoch(),
                         });
@@ -261,13 +241,13 @@ fn server_loop(
                             reason: e.to_string(),
                         },
                     };
-                    if let Some(c) = ensure_client(&mut clients, &registrar, conn_id) {
-                        let _ = c.endpoint.send(reply);
+                    if let Some(c) = clients.get(&conn_id) {
+                        let _ = c.send(reply);
                     }
                 }
                 ClientMessage::GetPolicy { request_id } => {
-                    if let Some(c) = ensure_client(&mut clients, &registrar, conn_id) {
-                        let _ = c.endpoint.send(ServerMessage::PolicyChanged {
+                    if let Some(c) = clients.get(&conn_id) {
+                        let _ = c.send(ServerMessage::PolicyChanged {
                             request_id,
                             policy: core.policy().clone(),
                             epoch: core.policy_epoch(),
@@ -337,8 +317,8 @@ fn server_loop(
         for ready in core.poll(now) {
             did_work = true;
             if let Some((conn_id, request_id)) = reply_route.remove(&ready.request_id) {
-                if let Some(c) = ensure_client(&mut clients, &registrar, conn_id) {
-                    let _ = c.endpoint.send(ServerMessage::IoReply {
+                if let Some(c) = clients.get(&conn_id) {
+                    let _ = c.send(ServerMessage::IoReply {
                         request_id,
                         reply: ready.reply,
                     });
@@ -350,8 +330,8 @@ fn server_loop(
         for stage in core.take_stage_replies() {
             did_work = true;
             if let Some((conn_id, request_id)) = reply_route.remove(&stage.request_id) {
-                if let Some(c) = ensure_client(&mut clients, &registrar, conn_id) {
-                    let _ = c.endpoint.send(ServerMessage::Stage {
+                if let Some(c) = clients.get(&conn_id) {
+                    let _ = c.send(ServerMessage::Stage {
                         request_id,
                         reply: stage.reply,
                     });
@@ -511,6 +491,31 @@ mod tests {
             } => {}
             other => panic!("client b got {other:?}"),
         }
+        dep.shutdown();
+    }
+
+    /// A connection's registration travels through the same inbox as its
+    /// messages, ahead of them: a client that sends `Hello` the instant
+    /// `connect` returns must always get its `Ack`, however many other
+    /// connections race it.
+    #[test]
+    fn hello_right_after_connect_is_always_acked() {
+        let dep = Deployment::start(1, |_| ServerConfig::default());
+        std::thread::scope(|scope| {
+            for job in 1..=64u64 {
+                let dep = &dep;
+                scope.spawn(move || {
+                    let conn = dep.connect(0);
+                    conn.send(ClientMessage::Hello {
+                        meta: JobMeta::new(job, job as u32, 1u32, 1),
+                    });
+                    match conn.recv_timeout(Duration::from_secs(10)) {
+                        Some(ServerMessage::Ack { .. }) => {}
+                        other => panic!("connection {job} got {other:?}"),
+                    }
+                });
+            }
+        });
         dep.shutdown();
     }
 }

@@ -16,14 +16,15 @@
 //!
 //! ## The class registry
 //!
-//! Every per-class fact — the reserved sub-range index, the display name,
-//! the telemetry lane key, the default foreground:class weight, and whether
+//! Every per-class fact — the reserved sub-range index, the name (also the
+//! telemetry lane key), the default foreground:class weight, and whether
 //! the class's pipeline synthesizes traffic without being asked — lives in
-//! one table, [`TRAFFIC_CLASSES`]. The first four classes were carved by
-//! hand across N call sites; adding the fifth (Replicate) made that a
-//! registry: a new class is one [`TrafficClassDef`] row, and `index()`,
-//! `name()`, [`ClassWeights::default`] and the engine's lane construction
-//! all follow the table.
+//! one table, [`TRAFFIC_CLASSES`]: `index()`, `name()`,
+//! [`ClassWeights::default`] and the engine's lane construction all follow
+//! it. A new class is one [`TrafficClassDef`] row plus its pipeline, and one
+//! arm each in the server core's admit, execute and land dispatch (an
+//! exhaustive `match`, so the compiler names every arm a new variant
+//! needs).
 //!
 //! | class | job-id sub-range | direction | default weight |
 //! |-------|------------------|-----------|----------------|
@@ -79,12 +80,11 @@ pub enum TrafficClass {
 /// a class, in one place.
 ///
 /// The row owns the class's reserved sub-range assignment (`index`), its
-/// display name, the telemetry lane key its [`MetricsRegistry`] series and
-/// trace slots carry, its default foreground:class WFQ weight, and whether
-/// the class's pipeline synthesizes traffic by default. Call sites read the
-/// table through [`TrafficClass::def`] instead of matching on the enum, so
-/// registering a future class touches this table and the enum — nothing
-/// else.
+/// name (which its [`MetricsRegistry`] series and trace slots carry as the
+/// lane key), its default foreground:class WFQ weight, and whether
+/// the class's pipeline synthesizes traffic by default. Call sites read
+/// these facts through [`TrafficClass::def`] instead of matching on the
+/// enum.
 ///
 /// [`MetricsRegistry`]: themis_telemetry::MetricsRegistry
 #[derive(Debug, Clone, Copy)]
@@ -97,14 +97,11 @@ pub struct TrafficClassDef {
     ///
     /// [`reserved_job_id`]: themis_core::entity::reserved_job_id
     pub index: u64,
-    /// Short lowercase display name for logs, status output, and the
-    /// weights DSL.
-    pub name: &'static str,
-    /// Telemetry lane key: the class component of
+    /// Short lowercase name for logs, status output and the weights DSL;
+    /// also the class component of
     /// [`SeriesKey::class`](themis_telemetry::SeriesKey) series and the
-    /// trace-lane name. Identical to `name` for every class so operators
-    /// see one vocabulary.
-    pub lane: &'static str,
+    /// trace-lane name, so operators see one vocabulary.
+    pub name: &'static str,
     /// Default foreground:class weight
     /// ([`ClassWeights::default`] takes its values from here).
     pub default_weight: u32,
@@ -123,7 +120,6 @@ pub const TRAFFIC_CLASSES: [TrafficClassDef; TrafficClass::COUNT] = [
         class: TrafficClass::Drain,
         index: 0,
         name: "drain",
-        lane: "drain",
         default_weight: 8,
         default_enabled: true,
     },
@@ -131,7 +127,6 @@ pub const TRAFFIC_CLASSES: [TrafficClassDef; TrafficClass::COUNT] = [
         class: TrafficClass::Restore,
         index: 1,
         name: "restore",
-        lane: "restore",
         default_weight: 8,
         default_enabled: true,
     },
@@ -139,7 +134,6 @@ pub const TRAFFIC_CLASSES: [TrafficClassDef; TrafficClass::COUNT] = [
         class: TrafficClass::Scrub,
         index: 2,
         name: "scrub",
-        lane: "scrub",
         // The maintenance classes default to a conservative 16:1 — pure
         // background traffic with no foreground waiting on it.
         default_weight: 16,
@@ -149,7 +143,6 @@ pub const TRAFFIC_CLASSES: [TrafficClassDef; TrafficClass::COUNT] = [
         class: TrafficClass::Rebalance,
         index: 3,
         name: "rebalance",
-        lane: "rebalance",
         default_weight: 16,
         default_enabled: true,
     },
@@ -157,7 +150,6 @@ pub const TRAFFIC_CLASSES: [TrafficClassDef; TrafficClass::COUNT] = [
         class: TrafficClass::Replicate,
         index: 4,
         name: "replicate",
-        lane: "replicate",
         // Replication only has work when a durability spec creates debt;
         // the class stays off until one does.
         default_weight: 16,
@@ -415,11 +407,10 @@ mod tests {
     fn registry_rows_match_declaration_order() {
         // `def()` indexes the table by enum discriminant; the registry's
         // contract is that row i defines the class declared i-th, with
-        // contiguous sub-range indexes and the shared name/lane vocabulary.
+        // contiguous sub-range indexes.
         for (i, def) in TRAFFIC_CLASSES.iter().enumerate() {
             assert_eq!(def.class as usize, i, "{}", def.name);
             assert_eq!(def.index, i as u64, "{}", def.name);
-            assert_eq!(def.name, def.lane, "{}", def.name);
             assert_eq!(TrafficClass::ALL[i], def.class);
         }
     }

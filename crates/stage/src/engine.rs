@@ -530,7 +530,6 @@ impl PolicyEngine for StagedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{drain_meta, is_drain, restore_meta};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use themis_core::request::OpKind;
@@ -587,7 +586,13 @@ mod tests {
             seq += 1;
         }
         for _ in 0..360 {
-            e.admit(IoRequest::new(seq, drain_meta(0), OpKind::Read, 1 << 20, 0));
+            e.admit(IoRequest::new(
+                seq,
+                TrafficClass::Drain.meta(0),
+                OpKind::Read,
+                1 << 20,
+                0,
+            ));
             seq += 1;
         }
         let mut rng = SmallRng::seed_from_u64(7);
@@ -595,7 +600,7 @@ mod tests {
         let mut drain_bytes = 0u64;
         for _ in 0..180 {
             let r = e.select(0, &mut rng).expect("backlogged");
-            if is_drain(&r.meta) {
+            if TrafficClass::of(r.meta.job) == Some(TrafficClass::Drain) {
                 drain_bytes += r.bytes;
             } else {
                 fg_bytes += r.bytes;
@@ -622,11 +627,17 @@ mod tests {
             seq += 1;
         }
         for _ in 0..200 {
-            e.admit(IoRequest::new(seq, drain_meta(0), OpKind::Read, 1 << 20, 0));
+            e.admit(IoRequest::new(
+                seq,
+                TrafficClass::Drain.meta(0),
+                OpKind::Read,
+                1 << 20,
+                0,
+            ));
             seq += 1;
             e.admit(IoRequest::new(
                 seq,
-                restore_meta(0),
+                TrafficClass::Restore.meta(0),
                 OpKind::Write,
                 1 << 20,
                 0,
@@ -670,11 +681,17 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         let mut seq = 0;
         for _ in 0..300 {
-            e.admit(IoRequest::new(seq, drain_meta(0), OpKind::Read, 1 << 20, 0));
+            e.admit(IoRequest::new(
+                seq,
+                TrafficClass::Drain.meta(0),
+                OpKind::Read,
+                1 << 20,
+                0,
+            ));
             seq += 1;
             e.admit(IoRequest::new(
                 seq,
-                restore_meta(0),
+                TrafficClass::Restore.meta(0),
                 OpKind::Write,
                 1 << 20,
                 0,
@@ -699,11 +716,18 @@ mod tests {
         let mut e = staged(8);
         let mut rng = SmallRng::seed_from_u64(1);
         for s in 0..10 {
-            e.admit(IoRequest::new(s, drain_meta(0), OpKind::Read, 1 << 20, 0));
+            e.admit(IoRequest::new(
+                s,
+                TrafficClass::Drain.meta(0),
+                OpKind::Read,
+                1 << 20,
+                0,
+            ));
         }
         // No foreground work at all: every select yields drain.
         for _ in 0..10 {
-            assert!(is_drain(&e.select(0, &mut rng).expect("drain queued").meta));
+            let r = e.select(0, &mut rng).expect("drain queued");
+            assert_eq!(TrafficClass::of(r.meta.job), Some(TrafficClass::Drain));
         }
         assert_eq!(e.queued(), 0);
     }
@@ -718,7 +742,13 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let mut seq = 0u64;
         for _ in 0..100 {
-            e.admit(IoRequest::new(seq, drain_meta(0), OpKind::Read, 1 << 20, 0));
+            e.admit(IoRequest::new(
+                seq,
+                TrafficClass::Drain.meta(0),
+                OpKind::Read,
+                1 << 20,
+                0,
+            ));
             seq += 1;
         }
         for _ in 0..50 {
@@ -733,7 +763,7 @@ mod tests {
         let mut dr = 0u64;
         for _ in 0..45 {
             let r = e.select(0, &mut rng).expect("backlogged");
-            if is_drain(&r.meta) {
+            if TrafficClass::of(r.meta.job) == Some(TrafficClass::Drain) {
                 dr += 1;
             } else {
                 fg += 1;
@@ -753,13 +783,19 @@ mod tests {
         e.reconfigure(&table_with_fg(), &Policy::job_fair());
         let mut rng = SmallRng::seed_from_u64(9);
         e.admit(IoRequest::write(0, fg_meta(), 4096, 10));
-        e.admit(IoRequest::new(1, drain_meta(0), OpKind::Read, 8192, 20));
+        e.admit(IoRequest::new(
+            1,
+            TrafficClass::Drain.meta(0),
+            OpKind::Read,
+            8192,
+            20,
+        ));
         // Foreground wins the first slot (tie goes to the foreground); the
         // drain lane is then behind on virtual time and served *charged*.
         let first = e.select(100, &mut rng).expect("fg queued");
-        assert!(!is_drain(&first.meta));
+        assert_ne!(TrafficClass::of(first.meta.job), Some(TrafficClass::Drain));
         let second = e.select(200, &mut rng).expect("drain queued");
-        assert!(is_drain(&second.meta));
+        assert_eq!(TrafficClass::of(second.meta.job), Some(TrafficClass::Drain));
 
         let snap = reg.snapshot(0);
         assert_eq!(snap.counter(3, 0, "foreground", "selected_bytes"), 4096);
@@ -781,7 +817,13 @@ mod tests {
     fn detached_engine_records_nothing_and_downcast_reaches_it() {
         let mut boxed: Box<dyn PolicyEngine> = Box::new(staged(8));
         let mut rng = SmallRng::seed_from_u64(1);
-        boxed.admit(IoRequest::new(0, drain_meta(0), OpKind::Read, 4096, 0));
+        boxed.admit(IoRequest::new(
+            0,
+            TrafficClass::Drain.meta(0),
+            OpKind::Read,
+            4096,
+            0,
+        ));
         boxed.select(0, &mut rng).expect("drain queued");
         // The downcast seam the server uses to reach the concrete engine
         // through its Box<dyn PolicyEngine>.
@@ -801,19 +843,31 @@ mod tests {
         assert!(e.honors_policy());
         e.reconfigure(&table_with_fg(), &Policy::job_fair());
         e.admit(IoRequest::write(0, fg_meta(), 4096, 0));
-        e.admit(IoRequest::new(1, drain_meta(0), OpKind::Read, 4096, 0));
-        e.admit(IoRequest::new(2, restore_meta(0), OpKind::Write, 4096, 0));
+        e.admit(IoRequest::new(
+            1,
+            TrafficClass::Drain.meta(0),
+            OpKind::Read,
+            4096,
+            0,
+        ));
+        e.admit(IoRequest::new(
+            2,
+            TrafficClass::Restore.meta(0),
+            OpKind::Write,
+            4096,
+            0,
+        ));
         assert_eq!(e.queued(), 3);
         assert_eq!(e.queued_for(fg_meta().job), 1);
-        assert_eq!(e.queued_for(drain_meta(0).job), 1);
-        assert_eq!(e.queued_for(restore_meta(0).job), 1);
+        assert_eq!(e.queued_for(TrafficClass::Drain.meta(0).job), 1);
+        assert_eq!(e.queued_for(TrafficClass::Restore.meta(0).job), 1);
         assert_eq!(e.queued_class(TrafficClass::Drain), 1);
         assert_eq!(e.queued_class(TrafficClass::Restore), 1);
         assert_eq!(e.queued_class(TrafficClass::Scrub), 0);
         let backlogged = e.backlogged_jobs();
         assert!(backlogged.contains(&fg_meta().job));
-        assert!(backlogged.contains(&drain_meta(0).job));
-        assert!(backlogged.contains(&restore_meta(0).job));
+        assert!(backlogged.contains(&TrafficClass::Drain.meta(0).job));
+        assert!(backlogged.contains(&TrafficClass::Restore.meta(0).job));
         // Reconfigure (a live SetPolicy) leaves every queue intact.
         e.reconfigure(&table_with_fg(), &Policy::size_fair());
         assert_eq!(e.queued(), 3);

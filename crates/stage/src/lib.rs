@@ -22,7 +22,7 @@
 //!   direction (plus the background checksum verification of the capacity
 //!   tier) and the synthesis of that traffic as ordinary
 //!   [`IoRequest`](themis_core::request::IoRequest)s under the class's
-//!   [job identity](drain_meta).
+//!   [job identity](TrafficClass::meta).
 //! * [`StagedEngine`] — a [`PolicyEngine`](themis_core::engine::PolicyEngine)
 //!   decorator that schedules the synthesized class requests *alongside*
 //!   foreground traffic with configurable foreground:class weights. The
@@ -52,10 +52,8 @@ pub use backing::{extent_checksum, verified_read_back, BackingStore, CapacityTie
 pub use class::{ClassWeights, ClassWeightsError, TrafficClass, TrafficClassDef, TRAFFIC_CLASSES};
 pub use engine::StagedEngine;
 pub use pipeline::{
-    class_of, drain_meta, is_drain, is_rebalance, is_replicate, is_restore, is_scrub,
-    rebalance_meta, replicate_meta, restore_meta, scrub_meta, write_back_guarded, DrainConfig,
-    DrainPipeline, DrainStatus, RestorePipeline, RestoreTarget, StagingConfig, DRAIN_GROUP_ID,
-    DRAIN_JOB_BASE, DRAIN_USER_ID,
+    write_back_guarded, DrainConfig, DrainPipeline, DrainStatus, RestorePipeline, RestoreTarget,
+    StagingConfig, DRAIN_GROUP_ID, DRAIN_JOB_BASE, DRAIN_USER_ID,
 };
 pub use rebalance::{RebalancePipeline, RebalanceStatus};
 pub use replicate::{ReplicaTarget, ReplicatePipeline, ReplicateStatus};

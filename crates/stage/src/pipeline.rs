@@ -1,13 +1,13 @@
-//! The per-server drain pipeline: configuration, the reserved drain job
-//! identity, and the bookkeeping of extents in flight between the
+//! The per-server drain pipeline: configuration, the reserved drain job-id
+//! range, and the bookkeeping of extents in flight between the
 //! burst-buffer shard and the capacity tier.
 //!
 //! The pipeline does not move bytes itself — the server core (or the
 //! simulator) reads the extent snapshot from the shard, charges the
 //! burst-buffer and capacity devices, and writes to the
-//! [`BackingStore`]. The pipeline's job is to
-//! make that flow *policy-visible*: every drain is an ordinary
-//! [`IoRequest`] under the [drain job identity](drain_meta), admitted to the
+//! [`BackingStore`]. The pipeline's job is to make that flow
+//! *policy-visible*: every drain is an ordinary [`IoRequest`] under the
+//! drain job identity ([`TrafficClass::meta`]), admitted to the
 //! server's [`PolicyEngine`](themis_core::engine::PolicyEngine) (wrapped in a
 //! [`StagedEngine`](crate::engine::StagedEngine)), so drain bandwidth is
 //! arbitrated exactly like foreground bandwidth.
@@ -39,75 +39,9 @@ pub const DRAIN_USER_ID: u32 = u32::MAX;
 /// Reserved group id of drain traffic.
 pub const DRAIN_GROUP_ID: u32 = u32::MAX;
 
-/// The job identity drain requests are issued under on `server`.
-pub fn drain_meta(server: usize) -> JobMeta {
-    TrafficClass::Drain.meta(server)
-}
-
-/// The job identity restore (stage-in) requests are issued under on
-/// `server`.
-pub fn restore_meta(server: usize) -> JobMeta {
-    TrafficClass::Restore.meta(server)
-}
-
-/// The job identity scrub (capacity-tier integrity verification) requests
-/// are issued under on `server`.
-pub fn scrub_meta(server: usize) -> JobMeta {
-    TrafficClass::Scrub.meta(server)
-}
-
-/// The job identity rebalance (shard-map migration) requests are issued
-/// under on `server`.
-pub fn rebalance_meta(server: usize) -> JobMeta {
-    TrafficClass::Rebalance.meta(server)
-}
-
-/// The job identity replicate (durability replication) requests are issued
-/// under on `server`.
-pub fn replicate_meta(server: usize) -> JobMeta {
-    TrafficClass::Replicate.meta(server)
-}
-
-/// The internal traffic class of a request's job metadata (`None` for
-/// foreground client traffic).
-pub fn class_of(meta: &JobMeta) -> Option<TrafficClass> {
-    TrafficClass::of(meta.job)
-}
-
-/// Whether a request (by its job metadata) is synthesized drain traffic.
-pub fn is_drain(meta: &JobMeta) -> bool {
-    class_of(meta) == Some(TrafficClass::Drain)
-}
-
-/// Whether a request (by its job metadata) is synthesized restore traffic.
-pub fn is_restore(meta: &JobMeta) -> bool {
-    class_of(meta) == Some(TrafficClass::Restore)
-}
-
-/// Whether a request (by its job metadata) is synthesized scrub traffic.
-pub fn is_scrub(meta: &JobMeta) -> bool {
-    class_of(meta) == Some(TrafficClass::Scrub)
-}
-
-/// Whether a request (by its job metadata) is synthesized rebalance
-/// traffic.
-pub fn is_rebalance(meta: &JobMeta) -> bool {
-    class_of(meta) == Some(TrafficClass::Rebalance)
-}
-
-/// Whether a request (by its job metadata) is synthesized durability
-/// replication traffic.
-pub fn is_replicate(meta: &JobMeta) -> bool {
-    class_of(meta) == Some(TrafficClass::Replicate)
-}
-
-/// Configuration of one server's drain pipeline.
-///
-/// Per-class weight and enablement knobs used to accrete here one field
-/// pair per class (`scrub_weight` + `scrub_enabled`, …); they are unified
-/// into the [`ClassWeights`](crate::class::ClassWeights) builder carried by
-/// [`DrainConfig::classes`]. The old field names survive as deprecated
-/// accessor shims so out-of-tree callers migrate at their own pace.
+/// Configuration of one server's drain pipeline. Per-class weights and
+/// enablement live in the [`ClassWeights`](crate::class::ClassWeights)
+/// builder carried by [`DrainConfig::classes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DrainConfig {
     /// When the shard's resident bytes exceed this watermark, clean (already
@@ -165,42 +99,6 @@ impl DrainConfig {
             return Err("max_inflight must be >= 1".to_string());
         }
         Ok(())
-    }
-
-    /// Legacy accessor for the drain weight.
-    #[deprecated(note = "read `classes.weight(TrafficClass::Drain)` instead")]
-    pub fn drain_weight(&self) -> u32 {
-        self.classes.weight(TrafficClass::Drain)
-    }
-
-    /// Legacy accessor for the restore weight.
-    #[deprecated(note = "read `classes.weight(TrafficClass::Restore)` instead")]
-    pub fn restore_weight(&self) -> u32 {
-        self.classes.weight(TrafficClass::Restore)
-    }
-
-    /// Legacy accessor for the scrub weight.
-    #[deprecated(note = "read `classes.weight(TrafficClass::Scrub)` instead")]
-    pub fn scrub_weight(&self) -> u32 {
-        self.classes.weight(TrafficClass::Scrub)
-    }
-
-    /// Legacy accessor for the scrub enablement flag.
-    #[deprecated(note = "read `classes.is_enabled(TrafficClass::Scrub)` instead")]
-    pub fn scrub_enabled(&self) -> bool {
-        self.classes.is_enabled(TrafficClass::Scrub)
-    }
-
-    /// Legacy accessor for the rebalance weight.
-    #[deprecated(note = "read `classes.weight(TrafficClass::Rebalance)` instead")]
-    pub fn rebalance_weight(&self) -> u32 {
-        self.classes.weight(TrafficClass::Rebalance)
-    }
-
-    /// Legacy accessor for the rebalance enablement flag.
-    #[deprecated(note = "read `classes.is_enabled(TrafficClass::Rebalance)` instead")]
-    pub fn rebalance_enabled(&self) -> bool {
-        self.classes.is_enabled(TrafficClass::Rebalance)
     }
 }
 
@@ -359,7 +257,7 @@ impl DrainPipeline {
 
     /// The drain job identity of this server.
     pub fn meta(&self) -> JobMeta {
-        drain_meta(self.server)
+        TrafficClass::Drain.meta(self.server)
     }
 
     /// How many more drains may be admitted right now.
@@ -593,7 +491,7 @@ impl RestorePipeline {
 
     /// The restore job identity of this server.
     pub fn meta(&self) -> JobMeta {
-        restore_meta(self.server)
+        TrafficClass::Restore.meta(self.server)
     }
 
     /// Whether `target`'s extent is already queued or in flight.
@@ -704,18 +602,23 @@ impl RestorePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::class::ClassWeights;
 
     #[test]
     fn drain_identity_is_reserved_and_per_server() {
-        let a = drain_meta(0);
-        let b = drain_meta(3);
-        assert!(is_drain(&a));
-        assert!(is_drain(&b));
+        let a = TrafficClass::Drain.meta(0);
+        let b = TrafficClass::Drain.meta(3);
+        assert_eq!(TrafficClass::of(a.job), Some(TrafficClass::Drain));
+        assert_eq!(TrafficClass::of(b.job), Some(TrafficClass::Drain));
         assert_ne!(a.job, b.job);
-        assert!(!is_drain(&JobMeta::new(1u64, 1u32, 1u32, 4)));
+        assert_eq!(
+            TrafficClass::of(JobMeta::new(1u64, 1u32, 1u32, 4).job),
+            None
+        );
         // Ordinary job ids are far below the reserved range.
-        assert!(!is_drain(&JobMeta::new(1u64 << 40, 1u32, 1u32, 4)));
+        assert_eq!(
+            TrafficClass::of(JobMeta::new(1u64 << 40, 1u32, 1u32, 4).job),
+            None
+        );
     }
 
     #[test]
@@ -759,31 +662,15 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_field_shims_read_the_unified_weights() {
-        let config = DrainConfig {
-            classes: ClassWeights::default()
-                .enable(TrafficClass::Scrub, 12)
-                .disable(TrafficClass::Rebalance),
-            ..DrainConfig::default()
-        };
-        assert_eq!(config.drain_weight(), 8);
-        assert_eq!(config.restore_weight(), 8);
-        assert_eq!(config.scrub_weight(), 12);
-        assert!(config.scrub_enabled());
-        assert_eq!(config.rebalance_weight(), 16);
-        assert!(!config.rebalance_enabled());
-    }
-
-    #[test]
     fn restore_identity_is_a_distinct_reserved_class() {
-        let d = drain_meta(2);
-        let r = restore_meta(2);
-        assert!(is_drain(&d) && !is_restore(&d));
-        assert!(is_restore(&r) && !is_drain(&r));
-        assert_eq!(class_of(&d), Some(TrafficClass::Drain));
-        assert_eq!(class_of(&r), Some(TrafficClass::Restore));
-        assert_eq!(class_of(&JobMeta::new(1u64, 1u32, 1u32, 4)), None);
+        let d = TrafficClass::Drain.meta(2);
+        let r = TrafficClass::Restore.meta(2);
+        assert_eq!(TrafficClass::of(d.job), Some(TrafficClass::Drain));
+        assert_eq!(TrafficClass::of(r.job), Some(TrafficClass::Restore));
+        assert_eq!(
+            TrafficClass::of(JobMeta::new(1u64, 1u32, 1u32, 4).job),
+            None
+        );
         assert_ne!(d.job, r.job);
     }
 
@@ -817,7 +704,7 @@ mod tests {
         assert!(p.is_busy());
         // Admission respects the pipelining depth.
         let r0 = p.admit_next(10, 0).expect("first admit");
-        assert!(is_restore(&r0.meta));
+        assert_eq!(TrafficClass::of(r0.meta.job), Some(TrafficClass::Restore));
         // A restore's cost on the contended burst device is the write-back
         // of the extent into the shard.
         assert_eq!(r0.kind, OpKind::Write);
@@ -871,7 +758,7 @@ mod tests {
         assert_eq!(p.admission_capacity(), 2);
         let r = p.admit(7, "/ckpt".into(), 0, 42, 1 << 20, 100);
         assert_eq!(r.seq, 7);
-        assert!(is_drain(&r.meta));
+        assert_eq!(TrafficClass::of(r.meta.job), Some(TrafficClass::Drain));
         assert_eq!(r.kind, OpKind::Read);
         assert_eq!(r.bytes, 1 << 20);
         assert_eq!(p.admission_capacity(), 1);

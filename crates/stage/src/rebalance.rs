@@ -17,13 +17,11 @@
 //! an under-replicated range but can never launder a corrupt extent past
 //! the scrubber.
 //!
-//! The lane runs at
-//! [`DrainConfig::rebalance_weight`](crate::pipeline::DrainConfig::rebalance_weight)
+//! The lane runs at its [`ClassWeights`](crate::ClassWeights) weight
 //! against the foreground like every other class: a reshard behind a busy
 //! foreground costs the foreground a bounded share of device time and
 //! expands into idle capacity when the foreground goes quiet.
 
-use crate::pipeline::rebalance_meta;
 use crate::shard::{MigrationPlan, ShardedStore};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -184,7 +182,7 @@ impl RebalancePipeline {
 
     /// The rebalance job identity of this server.
     pub fn meta(&self) -> JobMeta {
-        rebalance_meta(self.server)
+        crate::TrafficClass::Rebalance.meta(self.server)
     }
 
     /// Whether automatic migration on map changes is enabled.
@@ -370,7 +368,6 @@ impl RebalancePipeline {
 mod tests {
     use super::*;
     use crate::backing::{BackingStore, CapacityTier};
-    use crate::pipeline::is_rebalance;
     use crate::shard::{MigrationOutcome, ShardMap, ShardSpec};
     use std::sync::Arc;
     use themis_device::DeviceConfig;
@@ -426,7 +423,9 @@ mod tests {
         assert!(p.owes_work(&store));
         let released = drain_pipeline(&mut p, &store);
         assert!(!released.is_empty());
-        assert!(released.iter().all(|r| is_rebalance(&r.meta)));
+        assert!(released
+            .iter()
+            .all(|r| crate::TrafficClass::of(r.meta.job) == Some(crate::TrafficClass::Rebalance)));
         assert!(store.verify_placement().converged());
         let status = p.status(Some(&store));
         assert!(status.is_converged(), "{status:?}");

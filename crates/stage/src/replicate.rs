@@ -26,7 +26,6 @@
 //!   lose.
 
 use crate::class::TrafficClass;
-use crate::pipeline::replicate_meta;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use themis_core::durability::DurabilityMode;
@@ -192,7 +191,7 @@ impl ReplicatePipeline {
 
     /// The replicate job identity of this server.
     pub fn meta(&self) -> JobMeta {
-        replicate_meta(self.server)
+        TrafficClass::Replicate.meta(self.server)
     }
 
     /// Whether a durability spec gave this pipeline work to do.
@@ -361,7 +360,6 @@ impl ReplicatePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::is_replicate;
 
     #[test]
     fn local_only_and_disabled_pipelines_take_no_debt() {
@@ -386,7 +384,7 @@ mod tests {
         assert!(!p.note_write("/f", 0, 1 << 20, DurabilityMode::Sync));
         assert_eq!(p.lag_bytes(), 1 << 20);
         let r = p.admit_next(10, 0).expect("admit");
-        assert!(is_replicate(&r.meta));
+        assert_eq!(TrafficClass::of(r.meta.job), Some(TrafficClass::Replicate));
         assert_eq!(r.kind, OpKind::Read);
         assert_eq!(p.inflight(10).unwrap().mode, DurabilityMode::Sync);
     }

@@ -20,15 +20,14 @@
 //! foreground misses), scrub requests are synthesized purely from *tier
 //! state*: the pipeline holds a cursor into the capacity tier and a pass
 //! timer, and the only thing foreground traffic controls is how fast the
-//! engine releases the requests — the scrub lane runs at
-//! [`DrainConfig::scrub_weight`](crate::pipeline::DrainConfig::scrub_weight)
-//! against the foreground like every other class, and expands into idle
+//! engine releases the requests — the scrub lane runs at its
+//! [`ClassWeights`](crate::ClassWeights) weight against the foreground
+//! like every other class, and expands into idle
 //! capacity when the foreground goes quiet. That makes it the first
 //! *maintenance* class on the reserved range, proving the class framework
 //! generalises beyond the demand-driven drain/restore pair.
 
 use crate::backing::BackingStore;
-use crate::pipeline::scrub_meta;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use themis_core::entity::JobMeta;
@@ -194,7 +193,7 @@ impl ScrubPipeline {
 
     /// The scrub job identity of this server.
     pub fn meta(&self) -> JobMeta {
-        scrub_meta(self.server)
+        crate::TrafficClass::Scrub.meta(self.server)
     }
 
     /// Whether the continuous background scrubber is enabled.
@@ -410,7 +409,6 @@ impl ScrubPipeline {
 mod tests {
     use super::*;
     use crate::backing::{extent_checksum, CapacityTier};
-    use crate::pipeline::is_scrub;
     use crate::BackingStore;
 
     fn tier_with(extents: &[(&str, u64, usize)]) -> CapacityTier {
@@ -428,7 +426,10 @@ mod tests {
         // Owns everything except /b.
         let owns = |path: &str, _stripe: u64| path != "/b";
         let r0 = p.admit_next(1, 0, &tier, owns).expect("first admit");
-        assert!(is_scrub(&r0.meta));
+        assert_eq!(
+            crate::TrafficClass::of(r0.meta.job),
+            Some(crate::TrafficClass::Scrub)
+        );
         assert_eq!(r0.kind, OpKind::Read);
         assert_eq!(r0.bytes, 100);
         let r1 = p.admit_next(2, 0, &tier, owns).expect("second admit");
