@@ -1389,6 +1389,53 @@ mod tests {
     }
 
     #[test]
+    fn sim_series_match_committed_baseline() {
+        // The sim-derived series run on the deterministic virtual clock, so
+        // a revision that leaves the simulator's behaviour alone reproduces
+        // the committed baseline digit for digit, as `to_json` renders it.
+        // Only the wall-clock keys are machine-dependent; they are zeroed.
+        let scaling = ScalingNumbers {
+            select_ns_1e3_jobs: 0.0,
+            select_ns_1e4_jobs: 0.0,
+            select_ns_1e5_jobs: 0.0,
+            refresh_ns_1e5_jobs: 0.0,
+            enqueue_ns_1e5_jobs: 0.0,
+            staged_select_ns_1e5_jobs: 0.0,
+        };
+        let report = BenchReport::from_parts(
+            drain_experiment(),
+            restore_experiment(),
+            scrub_experiment(),
+            rebalance_experiment(),
+            replicate_experiment(),
+            scaling,
+            (0.0, 0.0),
+        );
+        let baseline = include_str!("../baseline.json");
+        let committed = |key: &str| -> String {
+            let line = baseline
+                .lines()
+                .find(|l| l.trim_start().starts_with(&format!("\"{key}\":")))
+                .unwrap_or_else(|| panic!("baseline is missing '{key}'"));
+            let value = line.split_once(':').expect("a key line has a colon").1;
+            value.trim().trim_end_matches(',').to_string()
+        };
+        let sim_keys: Vec<(&str, f64)> = report
+            .entries()
+            .into_iter()
+            .filter(|(key, _)| {
+                ["drain_", "restore_", "scrub_", "rebalance_", "replicate_"]
+                    .iter()
+                    .any(|class| key.starts_with(class))
+            })
+            .collect();
+        assert_eq!(sim_keys.len(), 17);
+        for (key, value) in sim_keys {
+            assert_eq!(format!("{value:.3}"), committed(key), "{key}");
+        }
+    }
+
+    #[test]
     fn parser_ignores_malformed_lines() {
         let parsed = parse_flat_json("{\n \"ok\": 1.5,\n garbage,\n \"also_ok\": -2e3\n}");
         assert_eq!(parsed.len(), 2);

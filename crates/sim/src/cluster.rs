@@ -1562,6 +1562,64 @@ mod tests {
     }
 
     #[test]
+    fn every_class_reaches_its_target_in_one_run() {
+        // All five classes share the device timelines in one run: writers
+        // feed drain and replicate, the reader's misses feed restore, the
+        // scrub and replicate boot backlogs and a mid-run reshard keep the
+        // maintenance lanes busy. Every class must land exactly its target
+        // before the run quiesces, and the run must stay bit-stable.
+        let job = |id: u64, user: u32, ranks: usize, pattern: OpPattern| {
+            SimJob::new(JobMeta::new(id, user, 1u32, 8), ranks, pattern)
+                .with_max_ops(64)
+                .with_queue_depth(4)
+        };
+        let mib = 1 << 20;
+        let jobs = vec![
+            job(1, 1, 16, OpPattern::WriteOnly { bytes_per_op: mib }),
+            job(2, 2, 8, OpPattern::ReadOnly { bytes_per_op: mib }),
+            job(3, 3, 4, OpPattern::WriteOnly { bytes_per_op: mib }).starting_at(50_000_000),
+        ];
+        let config = SimConfig {
+            staging: Some(SimStagingConfig {
+                backing_device: DeviceConfig::optane_ssd(),
+                drain_weight: 8,
+                restore_weight: 8,
+                restore_miss_rate: 0.3,
+                scrub_weight: 8,
+                scrub_enabled: true,
+                scrub_error_rate: 0.1,
+                scrub_backlog_bytes: 1 << 28,
+                rebalance_weight: 8,
+                rebalance_enabled: true,
+                rebalance_backlog_bytes: 1 << 28,
+                reshard_at_ns: 10_000_000,
+                replicate_weight: 8,
+                replicate_enabled: true,
+                replicate_fraction: 0.5,
+                replicate_backlog_bytes: 1 << 28,
+                drain_chunk_bytes: 3 << 20,
+                max_inflight: 2,
+            }),
+            ..SimConfig::new(
+                3,
+                Algorithm::Themis("user[8]-fair".parse().expect("valid policy")),
+            )
+        };
+        let result = Simulation::new(config, jobs).run();
+        // 20 writer ranks × 64 ops × 1 MiB.
+        let written = 20 * 64 * mib;
+        assert_eq!(result.sim_end_ns, 244_830_304);
+        assert_eq!(result.drained_bytes, written);
+        assert_eq!(result.restored_bytes, 162_529_280);
+        assert_eq!(result.scrubbed_bytes, 3 * (1 << 28) + written);
+        assert_eq!(result.scrub_errors, 75);
+        assert_eq!(result.migrated_bytes, 3 * (1 << 28));
+        assert_eq!(result.replicated_bytes, 3 * (1 << 28) + written / 2);
+        assert_eq!(result.residual_dirty_bytes, 0);
+        assert_eq!(result.residual_replication_lag, 0);
+    }
+
+    #[test]
     fn simulation_is_deterministic_for_a_fixed_seed() {
         let mk = || {
             let hog = SimJob::write_read_cycle(meta(1, 1, 1), 16).running_for(NS_PER_SEC / 2);
