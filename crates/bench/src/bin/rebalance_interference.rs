@@ -14,32 +14,13 @@
 //! device time.
 //!
 //! Run with `cargo run --release -p themis-bench --bin rebalance_interference`.
-//!
-//! Flags (the CI `bench` job uses both):
-//!
-//! * `--json PATH` — run every perf experiment (drain, restore, scrub,
-//!   rebalance, plus the criterion-measured `StagedEngine` select/complete
-//!   wall-clock number) and write the combined machine-readable
-//!   [`BenchReport`] to `PATH` (e.g. `BENCH_pr8.json`);
-//! * `--baseline PATH` — compare the freshly measured report against a
-//!   committed baseline (`crates/bench/baseline.json`) and exit non-zero if
-//!   a gated slowdown (drain, restore, scrub or rebalance at 8:1) regressed
-//!   by more than 20%.
-//!
-//! [`BenchReport`]: themis_bench::experiments::BenchReport
+//! The machine-readable report and its regression gate come from
+//! `sched_scaling --json`.
 
-use themis_bench::experiments::{
-    drain_experiment, emit_and_gate, flag_value, rebalance_numbers, replicate_experiment,
-    restore_experiment, run_rebalance, scaling_experiment, scrub_experiment,
-    staged_select_wallclock_pair, BenchReport,
-};
+use themis_bench::experiments::run_rebalance;
 use themis_core::entity::JobId;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = flag_value(&args, "--json");
-    let baseline_path = flag_value(&args, "--baseline");
-
     println!("shard migration: foreground slowdown vs foreground:rebalance weight");
     println!(
         "(1 GiB premium checkpoint vs the migration of a 4 GiB resharded backlog,\n\
@@ -74,27 +55,4 @@ fn main() {
          quiesces. Rebalance is the last reserved class: synthesized from tier state\n  \
          like scrub, bounded by the same two-level WFQ, no new mechanism."
     );
-
-    if json_path.is_none() && baseline_path.is_none() {
-        return;
-    }
-
-    // The combined machine-readable snapshot and the shared gate. The
-    // rebalance runs printed above are reused — the other halves (and the
-    // wall-clock pair) still need measuring.
-    let (select_ns, telemetry_ns) = staged_select_wallclock_pair();
-    let report = BenchReport::from_parts(
-        drain_experiment(),
-        restore_experiment(),
-        scrub_experiment(),
-        rebalance_numbers(&baseline, &even, &weighted),
-        replicate_experiment(),
-        scaling_experiment(),
-        (select_ns, telemetry_ns),
-    );
-    std::process::exit(emit_and_gate(
-        &report,
-        json_path.as_deref(),
-        baseline_path.as_deref(),
-    ));
 }

@@ -8,28 +8,13 @@
 //! bypassed the engine entirely, so this interference was unbounded.
 //!
 //! Run with `cargo run --release -p themis-bench --bin restore_interference`.
-//!
-//! Flags (the CI `bench` job drives them through `scrub_interference`,
-//! which emits the same combined report; they remain here for ad-hoc use):
-//!
-//! * `--json PATH` — run every perf experiment and write the combined
-//!   machine-readable [`BenchReport`] (fg slowdown %, drained / restored /
-//!   scrubbed MiB/s, p99 latencies, wall-clock scheduler number) to `PATH`
-//!   (e.g. `BENCH_pr5.json`);
-//! * `--baseline PATH` — compare the freshly measured report against a
-//!   committed baseline (`crates/bench/baseline.json`) and exit non-zero if
-//!   a gated slowdown regressed by more than 20%.
-//!
-//! [`BenchReport`]: themis_bench::experiments::BenchReport
+//! The machine-readable report and its regression gate come from
+//! `sched_scaling --json`.
 
-use themis_bench::experiments::{emit_and_gate, flag_value, run_restore};
+use themis_bench::experiments::run_restore;
 use themis_core::entity::JobId;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = flag_value(&args, "--json");
-    let baseline_path = flag_value(&args, "--baseline");
-
     println!("policy-admitted restore storm: foreground slowdown vs foreground:restore weight");
     println!("(1 GiB checkpoint vs 512 MiB fully-evicted read stream, one server)\n");
 
@@ -58,15 +43,4 @@ fn main() {
          legitimately takes half the device. Before stage-in was policy-admitted,\n  \
          the same storm dispatched raw on the DeviceTimeline and was unbounded."
     );
-
-    if json_path.is_none() && baseline_path.is_none() {
-        return;
-    }
-
-    // The combined machine-readable snapshot and the shared gate.
-    std::process::exit(emit_and_gate(
-        &themis_bench::experiments::BenchReport::measure(),
-        json_path.as_deref(),
-        baseline_path.as_deref(),
-    ));
 }

@@ -14,32 +14,13 @@
 //! device time.
 //!
 //! Run with `cargo run --release -p themis-bench --bin scrub_interference`.
-//!
-//! Flags (the CI `bench` job uses both):
-//!
-//! * `--json PATH` — run every perf experiment (drain, restore, scrub, plus
-//!   the criterion-measured three-lane `StagedEngine` select/complete
-//!   wall-clock number) and write the combined machine-readable
-//!   [`BenchReport`] to `PATH` (e.g. `BENCH_pr5.json`);
-//! * `--baseline PATH` — compare the freshly measured report against a
-//!   committed baseline (`crates/bench/baseline.json`) and exit non-zero if
-//!   a gated slowdown (drain, restore or scrub at 8:1) regressed by more
-//!   than 20%.
-//!
-//! [`BenchReport`]: themis_bench::experiments::BenchReport
+//! The machine-readable report and its regression gate come from
+//! `sched_scaling --json`.
 
-use themis_bench::experiments::{
-    drain_experiment, emit_and_gate, flag_value, rebalance_experiment, replicate_experiment,
-    restore_experiment, run_scrub, scaling_experiment, scrub_numbers, staged_select_wallclock_pair,
-    BenchReport,
-};
+use themis_bench::experiments::{run_scrub, staged_select_wallclock_pair};
 use themis_core::entity::JobId;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = flag_value(&args, "--json");
-    let baseline_path = flag_value(&args, "--baseline");
-
     println!("background checksum scrubbing: foreground slowdown vs foreground:scrub weight");
     println!(
         "(1 GiB premium checkpoint vs a deep-tier pass: 4 GiB boot backlog + this run's\n\
@@ -80,26 +61,4 @@ fn main() {
          first class synthesized from *tier state* rather than client traffic — the\n  \
          same two-level WFQ bounds it without any new mechanism."
     );
-
-    if json_path.is_none() && baseline_path.is_none() {
-        return;
-    }
-
-    // The combined machine-readable snapshot and the shared gate. The scrub
-    // runs and the wall-clock number printed above are reused — only the
-    // drain/restore halves still need measuring.
-    let report = BenchReport::from_parts(
-        drain_experiment(),
-        restore_experiment(),
-        scrub_numbers(&baseline, &even, &weighted),
-        rebalance_experiment(),
-        replicate_experiment(),
-        scaling_experiment(),
-        (select_ns, telemetry_ns),
-    );
-    std::process::exit(emit_and_gate(
-        &report,
-        json_path.as_deref(),
-        baseline_path.as_deref(),
-    ));
 }

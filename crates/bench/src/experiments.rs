@@ -5,9 +5,9 @@
 //! `scrub_interference` (maintenance-class interference),
 //! `rebalance_interference` (shard-migration interference),
 //! `replicate_interference` (durability-replication interference) and
-//! `sched_scaling` (production-cardinality scheduler latency); all but
-//! the first can emit the combined [`BenchReport`] as flat JSON
-//! (`BENCH_pr10.json`) and gate themselves against a committed baseline
+//! `sched_scaling` (production-cardinality scheduler latency). Only the
+//! last emits the combined [`BenchReport`] as flat JSON
+//! (`BENCH_pr10.json`) and gates it against a committed baseline
 //! (`crates/bench/baseline.json`) — the CI `bench` job's regression check.
 //! The interference numbers are driven by the deterministic simulator, so
 //! they are bit-stable for a given code revision and a regression is
@@ -16,13 +16,14 @@
 //! the three-lane [`StagedEngine`](themis_stage::StagedEngine)
 //! select/complete hot path ([`staged_select_wallclock_pair`]) and the
 //! per-op scheduler cost at 10³/10⁴/10⁵ backlogged jobs
-//! ([`scaling_experiment`]). Wall-clock numbers are machine-dependent, so
-//! most are reported but not gated against the baseline; the exceptions
-//! are `select_ns_1e5_jobs` (gated with an absolute-nanosecond floor wide
-//! enough for machine drift — an O(n) scan sneaking back into `next()`
-//! costs *milliseconds* at 10⁵ jobs, far beyond any host's jitter) and
-//! two same-run ratios where machine speed cancels: the telemetry twin vs
-//! its plain round, and the 10⁵-job select vs its 10³-job twin.
+//! ([`sched_cardinality_point`]). Wall-clock numbers are
+//! machine-dependent, so most are reported but not gated against the
+//! baseline; the exceptions are `select_ns_1e5_jobs` (gated with an
+//! absolute-nanosecond floor wide enough for machine drift — an O(n) scan
+//! sneaking back into `next()` costs *milliseconds* at 10⁵ jobs, far
+//! beyond any host's jitter) and two same-run ratios where machine speed
+//! cancels: the telemetry twin vs its plain round, and the 10⁵-job select
+//! vs its 10³-job twin.
 
 use std::collections::HashMap;
 use themis_baselines::Algorithm;
@@ -142,22 +143,8 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// Runs every experiment (sim-derived interference numbers plus the
-    /// wall-clock scheduler micro-benchmark).
-    pub fn measure() -> Self {
-        Self::from_parts(
-            drain_experiment(),
-            restore_experiment(),
-            scrub_experiment(),
-            rebalance_experiment(),
-            replicate_experiment(),
-            scaling_experiment(),
-            staged_select_wallclock_pair(),
-        )
-    }
-
-    /// Assembles the report from already-measured parts — for bins that ran
-    /// (and printed) some experiments themselves and must not run them a
+    /// Assembles the report from already-measured parts — `sched_scaling`
+    /// reuses the cardinality sweep it printed instead of measuring it a
     /// second time. `staged_wallclock` is the `(plain, telemetry)` ns/op
     /// pair exactly as [`staged_select_wallclock_pair`] returns it — the
     /// two halves gate against each other, so they travel together.
@@ -401,7 +388,7 @@ pub fn check_regression(current: &BenchReport, baseline: &HashMap<String, f64>) 
     violations
 }
 
-/// Parses a `--flag value` style argument (shared by the perf-report bins).
+/// Parses a `--flag value` style argument.
 pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
@@ -409,11 +396,10 @@ pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-/// The perf-report bins' shared `--json` / `--baseline` tail: write the
+/// The `sched_scaling` bin's `--json` / `--baseline` tail: write the
 /// measured [`BenchReport`] to `json_path` when given, and gate it against
 /// the committed `baseline_path` when given. Returns the process exit code:
-/// `0` pass, `1` gate violation, `2` I/O error — one implementation, so the
-/// bins can never diverge on gate semantics.
+/// `0` pass, `1` gate violation, `2` I/O error.
 pub fn emit_and_gate(
     report: &BenchReport,
     json_path: Option<&str>,
@@ -632,14 +618,12 @@ pub fn run_scrub(scrub_weight: u32, enabled: bool) -> themis_sim::SimResult {
     Simulation::new(config, vec![checkpointer]).run()
 }
 
-/// Distils three already-run scrub workloads (scrub-disabled baseline, 1:1,
-/// 8:1) into the report numbers — shared with the `scrub_interference` bin,
-/// which prints its table from the same runs and must not run them twice.
-pub fn scrub_numbers(
-    baseline: &themis_sim::SimResult,
-    even: &themis_sim::SimResult,
-    weighted: &themis_sim::SimResult,
-) -> ScrubNumbers {
+/// The scrub half of the report: the scrub-disabled baseline
+/// against the 1:1 and 8:1 runs.
+pub fn scrub_experiment() -> ScrubNumbers {
+    let baseline = run_scrub(8, false);
+    let even = run_scrub(1, true);
+    let weighted = run_scrub(8, true);
     let baseline_secs = baseline.job_finish_ns[&JobId(1)] as f64 / 1e9;
     let even_secs = even.job_finish_ns[&JobId(1)] as f64 / 1e9;
     let weighted_secs = weighted.job_finish_ns[&JobId(1)] as f64 / 1e9;
@@ -650,15 +634,6 @@ pub fn scrub_numbers(
         fg_slowdown_pct_8_1: (weighted_secs / baseline_secs - 1.0) * 100.0,
         scrubbed_mib_s_8_1: weighted.scrubbed_bytes as f64 / (1 << 20) as f64 / weighted_span_secs,
     }
-}
-
-/// The scrub half of the report.
-pub fn scrub_experiment() -> ScrubNumbers {
-    scrub_numbers(
-        &run_scrub(8, false),
-        &run_scrub(1, true),
-        &run_scrub(8, true),
-    )
 }
 
 /// Shard-migration interference numbers: a premium checkpointer against the
@@ -719,15 +694,12 @@ pub fn run_rebalance(weight: u32, enabled: bool) -> themis_sim::SimResult {
     Simulation::new(config, vec![checkpointer]).run()
 }
 
-/// Distils three already-run rebalance workloads (disabled baseline, 1:1,
-/// 8:1) into the report numbers — shared with the `rebalance_interference`
-/// bin, which prints its table from the same runs and must not run them
-/// twice.
-pub fn rebalance_numbers(
-    baseline: &themis_sim::SimResult,
-    even: &themis_sim::SimResult,
-    weighted: &themis_sim::SimResult,
-) -> RebalanceNumbers {
+/// The rebalance half of the report: the rebalance-disabled baseline
+/// against the 1:1 and 8:1 runs.
+pub fn rebalance_experiment() -> RebalanceNumbers {
+    let baseline = run_rebalance(8, false);
+    let even = run_rebalance(1, true);
+    let weighted = run_rebalance(8, true);
     let baseline_secs = baseline.job_finish_ns[&JobId(1)] as f64 / 1e9;
     let even_secs = even.job_finish_ns[&JobId(1)] as f64 / 1e9;
     let weighted_secs = weighted.job_finish_ns[&JobId(1)] as f64 / 1e9;
@@ -738,15 +710,6 @@ pub fn rebalance_numbers(
         fg_slowdown_pct_8_1: (weighted_secs / baseline_secs - 1.0) * 100.0,
         migrated_mib_s_8_1: weighted.migrated_bytes as f64 / (1 << 20) as f64 / weighted_span_secs,
     }
-}
-
-/// The rebalance half of the report.
-pub fn rebalance_experiment() -> RebalanceNumbers {
-    rebalance_numbers(
-        &run_rebalance(8, false),
-        &run_rebalance(1, true),
-        &run_rebalance(8, true),
-    )
 }
 
 /// Durability-replication interference numbers: a premium checkpointer
@@ -807,15 +770,12 @@ pub fn run_replicate(weight: u32, enabled: bool) -> themis_sim::SimResult {
     Simulation::new(config, vec![checkpointer]).run()
 }
 
-/// Distils three already-run replicate workloads (disabled baseline, 1:1,
-/// 8:1) into the report numbers — shared with the `replicate_interference`
-/// bin, which prints its table from the same runs and must not run them
-/// twice.
-pub fn replicate_numbers(
-    baseline: &themis_sim::SimResult,
-    even: &themis_sim::SimResult,
-    weighted: &themis_sim::SimResult,
-) -> ReplicateNumbers {
+/// The replicate half of the report: the replicate-disabled baseline
+/// against the 1:1 and 8:1 runs.
+pub fn replicate_experiment() -> ReplicateNumbers {
+    let baseline = run_replicate(8, false);
+    let even = run_replicate(1, true);
+    let weighted = run_replicate(8, true);
     let baseline_secs = baseline.job_finish_ns[&JobId(1)] as f64 / 1e9;
     let even_secs = even.job_finish_ns[&JobId(1)] as f64 / 1e9;
     let weighted_secs = weighted.job_finish_ns[&JobId(1)] as f64 / 1e9;
@@ -828,15 +788,6 @@ pub fn replicate_numbers(
             / (1 << 20) as f64
             / weighted_span_secs,
     }
-}
-
-/// The replicate half of the report.
-pub fn replicate_experiment() -> ReplicateNumbers {
-    replicate_numbers(
-        &run_replicate(8, false),
-        &run_replicate(1, true),
-        &run_replicate(8, true),
-    )
 }
 
 /// Production-cardinality scheduler numbers: wall-clock ns/op for the
@@ -1088,25 +1039,6 @@ pub fn staged_select_at_cardinality(jobs: usize) -> f64 {
         });
         engine.admit(request);
     })
-}
-
-/// The production-cardinality half of the report: the 10³/10⁴/10⁵ sweep
-/// plus the staged round at 10⁵ tenants. The gated 10³/10⁵ select pair is
-/// measured interleaved (see [`select_flatness_pair`]) so the flatness
-/// ratio is drift-free; the 10⁴ point and the enqueue/refresh columns are
-/// independent measurements.
-pub fn scaling_experiment() -> ScalingNumbers {
-    let p4 = sched_cardinality_point(10_000);
-    let p5 = sched_cardinality_point(100_000);
-    let (select_ns_1e3_jobs, select_ns_1e5_jobs) = select_flatness_pair();
-    ScalingNumbers {
-        select_ns_1e3_jobs,
-        select_ns_1e4_jobs: p4.select_ns,
-        select_ns_1e5_jobs,
-        refresh_ns_1e5_jobs: p5.refresh_ns,
-        enqueue_ns_1e5_jobs: p5.enqueue_ns,
-        staged_select_ns_1e5_jobs: staged_select_at_cardinality(100_000),
-    }
 }
 
 /// Builds the three-lane scheduler fixture the hot-path measurements run

@@ -306,52 +306,43 @@ struct SimServer {
     staging: Option<SimServerStaging>,
 }
 
-/// Per-server staging state of a drain scenario: the byte-level model of the
-/// server's dirty backlog and its capacity-tier device.
+/// One class's progress on one server: the byte-level model of its
+/// pipeline. `admitted` is the pass cursor over the class's
+/// [`SimServerStaging::target`]; `admitted - landed` bytes are in flight.
+#[derive(Clone, Copy, Default)]
+struct ClassLane {
+    /// Bytes admitted to the engine so far.
+    admitted: u64,
+    /// Requests admitted and not yet landed.
+    inflight: usize,
+    /// Bytes landed so far.
+    landed: u64,
+}
+
+/// An internal transfer waiting to land: `(landed_ns, class, server, seq,
+/// bytes)`.
+type Landing = (u64, TrafficClass, usize, u64, u64);
+
+/// Per-server staging state: the byte-level model of the server's class
+/// pipelines and the tiers they move bytes to and from.
 struct SimServerStaging {
     config: SimStagingConfig,
+    /// The capacity tier absorbing drains and serving restores, scrubs and
+    /// migrations.
     backing: DeviceTimeline,
-    /// Bytes written into the burst buffer and not yet drained.
-    dirty_bytes: u64,
-    /// Subset of `dirty_bytes` already admitted as drain requests.
-    queued_bytes: u64,
-    /// Drain requests admitted and not yet fully drained.
-    inflight: usize,
-    /// Total bytes drained to the capacity tier.
-    drained_bytes: u64,
-    /// Restore requests admitted and not yet landed.
-    restore_inflight: usize,
-    /// Total bytes restored from the capacity tier.
-    restored_bytes: u64,
-    /// Scrub bytes admitted so far (the pass cursor over the verification
-    /// target: boot backlog plus drained bytes).
-    scrub_cursor_bytes: u64,
-    /// Scrub requests admitted and not yet verified.
-    scrub_inflight: usize,
-    /// Total bytes verified by the scrubber.
-    scrubbed_bytes: u64,
-    /// Injected checksum mismatches reported so far.
-    scrub_errors: u64,
-    /// Migration bytes admitted so far (the pass cursor over the reshard's
-    /// backlog).
-    rebalance_cursor_bytes: u64,
-    /// Migration requests admitted and not yet landed.
-    rebalance_inflight: usize,
-    /// Total bytes migrated.
-    migrated_bytes: u64,
     /// The replica tier absorbing durability copies — deliberately its own
     /// device timeline, not the capacity tier: replicas live on independent
     /// media, exactly as in the live core.
     replica: DeviceTimeline,
+    /// Per-class progress, indexed by `class as usize`.
+    lanes: [ClassLane; TrafficClass::COUNT],
+    /// Foreground bytes written into the burst buffer (the drain target;
+    /// the dirty backlog is this minus the drained bytes).
+    written_bytes: u64,
     /// Replication debt accrued by this run's durable foreground writes.
     replicate_accrued_bytes: u64,
-    /// Copy bytes admitted so far (the cursor over the replication target:
-    /// boot debt plus accrued debt).
-    replicate_cursor_bytes: u64,
-    /// Copy requests admitted and not yet landed on the replica tier.
-    replicate_inflight: usize,
-    /// Total bytes landed on the replica tier.
-    replicated_bytes: u64,
+    /// Injected checksum mismatches reported so far.
+    scrub_errors: u64,
 }
 
 impl SimServer {
@@ -371,58 +362,106 @@ impl SimServer {
             staging: config.staging.map(|sc| SimServerStaging {
                 config: sc,
                 backing: DeviceTimeline::new(DeviceModel::new(sc.backing_device)),
-                dirty_bytes: 0,
-                queued_bytes: 0,
-                inflight: 0,
-                drained_bytes: 0,
-                restore_inflight: 0,
-                restored_bytes: 0,
-                scrub_cursor_bytes: 0,
-                scrub_inflight: 0,
-                scrubbed_bytes: 0,
-                scrub_errors: 0,
-                rebalance_cursor_bytes: 0,
-                rebalance_inflight: 0,
-                migrated_bytes: 0,
                 replica: DeviceTimeline::new(DeviceModel::new(sc.backing_device)),
+                lanes: [ClassLane::default(); TrafficClass::COUNT],
+                written_bytes: 0,
                 replicate_accrued_bytes: 0,
-                replicate_cursor_bytes: 0,
-                replicate_inflight: 0,
-                replicated_bytes: 0,
+                scrub_errors: 0,
             }),
         }
     }
 
-    /// Whether the staging pipeline still has work: dirty backlog, drains
-    /// or restores in flight, or — with scrub enabled — verification-target
-    /// bytes the scrub pass has not verified yet.
+    /// Whether the staging pipeline still has work: some class has requests
+    /// in flight or has landed less than its target.
     fn staging_busy(&self) -> bool {
         self.staging.as_ref().is_some_and(|st| {
-            st.dirty_bytes > 0
-                || st.inflight > 0
-                || st.restore_inflight > 0
-                || (st.config.scrub_enabled
-                    && (st.scrubbed_bytes < st.scrub_target() || st.scrub_inflight > 0))
-                || (st.config.rebalance_enabled
-                    && (st.migrated_bytes < st.config.rebalance_backlog_bytes
-                        || st.rebalance_inflight > 0))
-                || (st.config.replicate_enabled
-                    && (st.replicated_bytes < st.replicate_target() || st.replicate_inflight > 0))
+            TrafficClass::ALL
+                .into_iter()
+                .any(|class| st.lane(class).inflight > 0 || st.owed(class) > 0)
         })
     }
 }
 
 impl SimServerStaging {
-    /// The scrub pass's verification target: everything the tier holds —
-    /// the boot backlog plus whatever this run has drained so far.
-    fn scrub_target(&self) -> u64 {
-        self.config.scrub_backlog_bytes + self.drained_bytes
+    fn lane(&self, class: TrafficClass) -> &ClassLane {
+        &self.lanes[class as usize]
     }
 
-    /// The replication target: every byte that owes a copy — the boot debt
-    /// plus the replicated share of this run's foreground write bytes.
-    fn replicate_target(&self) -> u64 {
-        self.config.replicate_backlog_bytes + self.replicate_accrued_bytes
+    fn lane_mut(&mut self, class: TrafficClass) -> &mut ClassLane {
+        &mut self.lanes[class as usize]
+    }
+
+    /// Counts `bytes` of `class` as admitted and returns the request that
+    /// carries them through the engine.
+    fn admit(
+        &mut self,
+        class: TrafficClass,
+        server: usize,
+        seq: u64,
+        bytes: u64,
+        now: u64,
+    ) -> IoRequest {
+        let lane = self.lane_mut(class);
+        lane.admitted += bytes;
+        lane.inflight += 1;
+        IoRequest::new(seq, class.meta(server), class_op(class), bytes, now)
+    }
+
+    /// The bytes `class` must land before the run may quiesce, as of now:
+    ///
+    /// * drain — every byte written;
+    /// * scrub — the boot backlog plus whatever has drained so far (every
+    ///   byte the tier holds is verified once);
+    /// * rebalance — the reshard's migration backlog;
+    /// * replicate — the boot debt plus the replicated share of this run's
+    ///   writes;
+    /// * restore, and any class switched off — nothing: restores are
+    ///   admitted by read misses, never synthesized.
+    fn target(&self, class: TrafficClass) -> u64 {
+        let c = &self.config;
+        match class {
+            TrafficClass::Drain => self.written_bytes,
+            TrafficClass::Scrub if c.scrub_enabled => {
+                c.scrub_backlog_bytes + self.lane(TrafficClass::Drain).landed
+            }
+            TrafficClass::Rebalance if c.rebalance_enabled => c.rebalance_backlog_bytes,
+            TrafficClass::Replicate if c.replicate_enabled => {
+                c.replicate_backlog_bytes + self.replicate_accrued_bytes
+            }
+            TrafficClass::Restore
+            | TrafficClass::Scrub
+            | TrafficClass::Rebalance
+            | TrafficClass::Replicate => 0,
+        }
+    }
+
+    /// Target bytes `class` has not admitted yet.
+    fn unadmitted(&self, class: TrafficClass) -> u64 {
+        self.target(class).saturating_sub(self.lane(class).admitted)
+    }
+
+    /// Target bytes `class` has not landed yet.
+    fn owed(&self, class: TrafficClass) -> u64 {
+        self.target(class).saturating_sub(self.lane(class).landed)
+    }
+
+    /// The virtual instant from which `class` may be synthesized: the
+    /// reshard for rebalance, boot for every other class.
+    fn opens_at(&self, class: TrafficClass) -> u64 {
+        match class {
+            TrafficClass::Rebalance => self.config.reshard_at_ns,
+            _ => 0,
+        }
+    }
+}
+
+/// The operation a synthesized `class` request asks the burst device for:
+/// drains, scrubs and replicate copies read their source, restores and
+/// migrations write their destination.
+fn class_op(class: TrafficClass) -> OpKind {
+    match class {
+        TrafficClass::Drain | TrafficClass::Scrub | TrafficClass::Replicate => OpKind::Read,
+        TrafficClass::Restore | TrafficClass::Rebalance => OpKind::Write,
     }
 }
 
@@ -487,19 +526,12 @@ impl Simulation {
 
         // Completion events: (finish_ns, rank index).
         let mut completions: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        // Drain completion events: (capacity-tier finish_ns, server, bytes).
-        let mut drain_events: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-        // Restore completion events: (landed_ns, server, restore seq, bytes).
-        let mut restore_events: BinaryHeap<Reverse<(u64, usize, u64, u64)>> = BinaryHeap::new();
-        // Scrub completion events: (verified_ns, server, bytes).
-        let mut scrub_events: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-        // Rebalance completion events: (migrated_ns, server, bytes).
-        let mut rebalance_events: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-        // Replicate completion events: (landed_ns, server, bytes).
-        let mut replicate_events: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-        // Foreground reads parked behind a restore: restore seq → (server,
-        // the read to admit once its bytes are back in the burst buffer).
-        let mut waiting_restore: HashMap<u64, (usize, IoRequest)> = HashMap::new();
+        // Internal transfers in flight, every class in one queue.
+        let mut landings: BinaryHeap<Reverse<Landing>> = BinaryHeap::new();
+        let mut due: Vec<Landing> = Vec::new();
+        // Foreground reads parked behind a restore: restore seq → the read
+        // to admit once its bytes are back in the burst buffer.
+        let mut waiting_restore: HashMap<u64, IoRequest> = HashMap::new();
         // Request sequence → issuing rank.
         let mut seq_to_rank: HashMap<u64, usize> = HashMap::new();
         let mut next_seq: u64 = 0;
@@ -541,93 +573,54 @@ impl Simulation {
                 r.next_ready_ns = r.next_ready_ns.max(finish + think);
             }
 
-            // 1a. Apply drain completions (capacity-tier writes) by `now`.
-            while let Some(Reverse((finish, server_idx, bytes))) = drain_events.peek().copied() {
-                if finish > now {
-                    break;
-                }
-                drain_events.pop();
-                if let Some(st) = servers[server_idx].staging.as_mut() {
-                    st.dirty_bytes = st.dirty_bytes.saturating_sub(bytes);
-                    st.queued_bytes = st.queued_bytes.saturating_sub(bytes);
-                    st.inflight = st.inflight.saturating_sub(1);
-                    st.drained_bytes += bytes;
-                }
-            }
-
-            // 1b. Apply restore completions by `now`: the missed bytes are
-            // back in the burst buffer, so the read that waited on them is
-            // finally admitted to its server's engine (its arrival time —
+            // 1a. Land every internal transfer that finished by `now`, in
+            // class (registry) order, then landing time: a drain counts as
+            // drained before a same-tick scrub chases it. A landed restore
+            // brings the missed bytes back into the burst buffer, so the
+            // read parked behind it is finally admitted (its arrival time —
             // and therefore its recorded latency — still dates from issue,
-            // charging the restore queue delay to the read).
-            while let Some(Reverse((finish, server_idx, seq, bytes))) =
-                restore_events.peek().copied()
-            {
-                if finish > now {
+            // charging the restore queue delay to the read). A landed scrub
+            // chunk may report an injected checksum mismatch; the rng is only
+            // consulted when errors are possible, so a sound scrubber never
+            // perturbs the foreground token draws of a pre-existing seed.
+            while let Some(&Reverse(landing)) = landings.peek() {
+                if landing.0 > now {
                     break;
                 }
-                restore_events.pop();
-                if let Some(st) = servers[server_idx].staging.as_mut() {
-                    st.restore_inflight = st.restore_inflight.saturating_sub(1);
-                    st.restored_bytes += bytes;
-                }
-                if let Some((server, parked)) = waiting_restore.remove(&seq) {
-                    servers[server].engine.admit(parked);
-                }
+                landings.pop();
+                due.push(landing);
             }
-
-            // 1b'. Apply scrub completions by `now`: the verification of one
-            // chunk of drained bytes finished; with a non-zero injected
-            // error rate, some chunks report a checksum mismatch. (The rng
-            // is only consulted when errors are possible, so enabling a
-            // sound scrubber never perturbs the foreground token draws of a
-            // pre-existing seed.)
-            while let Some(Reverse((finish, server_idx, bytes))) = scrub_events.peek().copied() {
-                if finish > now {
-                    break;
-                }
-                scrub_events.pop();
-                if let Some(st) = servers[server_idx].staging.as_mut() {
-                    st.scrub_inflight = st.scrub_inflight.saturating_sub(1);
-                    st.scrubbed_bytes += bytes;
-                    if st.config.scrub_error_rate > 0.0
-                        && (rng.gen_range(0u64..1_000_000) as f64)
-                            < st.config.scrub_error_rate * 1e6
-                    {
-                        st.scrub_errors += 1;
+            due.sort_unstable_by_key(|&(landed_ns, class, server, seq, _)| {
+                (class, landed_ns, server, seq)
+            });
+            for (_, class, server_idx, seq, bytes) in due.drain(..) {
+                let server = &mut servers[server_idx];
+                let st = server
+                    .staging
+                    .as_mut()
+                    .expect("internal traffic only exists with staging");
+                let lane = st.lane_mut(class);
+                lane.inflight -= 1;
+                lane.landed += bytes;
+                match class {
+                    TrafficClass::Restore => {
+                        if let Some(parked) = waiting_restore.remove(&seq) {
+                            server.engine.admit(parked);
+                        }
                     }
+                    TrafficClass::Scrub => {
+                        if st.config.scrub_error_rate > 0.0
+                            && (rng.gen_range(0u64..1_000_000) as f64)
+                                < st.config.scrub_error_rate * 1e6
+                        {
+                            st.scrub_errors += 1;
+                        }
+                    }
+                    TrafficClass::Drain | TrafficClass::Rebalance | TrafficClass::Replicate => {}
                 }
             }
 
-            // 1b''. Apply rebalance completions by `now`: one chunk of the
-            // reshard's migration backlog landed on its new replica set.
-            while let Some(Reverse((finish, server_idx, bytes))) = rebalance_events.peek().copied()
-            {
-                if finish > now {
-                    break;
-                }
-                rebalance_events.pop();
-                if let Some(st) = servers[server_idx].staging.as_mut() {
-                    st.rebalance_inflight = st.rebalance_inflight.saturating_sub(1);
-                    st.migrated_bytes += bytes;
-                }
-            }
-
-            // 1b'''. Apply replicate completions by `now`: one chunk of the
-            // replication debt landed on the replica tier.
-            while let Some(Reverse((finish, server_idx, bytes))) = replicate_events.peek().copied()
-            {
-                if finish > now {
-                    break;
-                }
-                replicate_events.pop();
-                if let Some(st) = servers[server_idx].staging.as_mut() {
-                    st.replicate_inflight = st.replicate_inflight.saturating_sub(1);
-                    st.replicated_bytes += bytes;
-                }
-            }
-
-            // 1c. Stop once every bounded job has completed all of its work
+            // 1b. Stop once every bounded job has completed all of its work
             // *and* every staging pipeline has fully drained; unbounded
             // background jobs do not keep the simulation alive.
             if any_finite {
@@ -697,15 +690,9 @@ impl Simulation {
                         let restore_seq = next_seq;
                         next_seq += 1;
                         let st = server.staging.as_mut().expect("miss implies staging");
-                        st.restore_inflight += 1;
-                        let restore = IoRequest::new(
-                            restore_seq,
-                            TrafficClass::Restore.meta(server_idx),
-                            OpKind::Write,
-                            bytes,
-                            now,
-                        );
-                        waiting_restore.insert(restore_seq, (server_idx, req));
+                        let restore =
+                            st.admit(TrafficClass::Restore, server_idx, restore_seq, bytes, now);
+                        waiting_restore.insert(restore_seq, req);
                         server.engine.admit(restore);
                     } else {
                         server.engine.admit(req);
@@ -715,133 +702,30 @@ impl Simulation {
                 }
             }
 
-            // 2b. Synthesize drain traffic for the dirty backlog: chunks of
-            // the backlog become policy-arbitrated requests under the drain
-            // job, up to the pipelining depth.
-            for (server_idx, server) in servers.iter_mut().enumerate() {
-                let Some(st) = server.staging.as_mut() else {
-                    continue;
-                };
-                while st.inflight < st.config.max_inflight && st.dirty_bytes > st.queued_bytes {
-                    let chunk = st
-                        .config
-                        .drain_chunk_bytes
-                        .min(st.dirty_bytes - st.queued_bytes)
-                        .max(1);
-                    let req = IoRequest::new(
-                        next_seq,
-                        TrafficClass::Drain.meta(server_idx),
-                        OpKind::Read,
-                        chunk,
-                        now,
-                    );
-                    next_seq += 1;
-                    st.queued_bytes += chunk;
-                    st.inflight += 1;
-                    server.engine.admit(req);
-                }
-            }
-
-            // 2c. Synthesize scrub traffic: with scrub enabled, the pass
-            // cursor chases the verification target (the boot backlog plus
-            // the drained bytes) — every tier chunk is re-read from the
-            // capacity tier for verification exactly once, as a
-            // policy-arbitrated request under the scrub class.
-            for (server_idx, server) in servers.iter_mut().enumerate() {
-                let Some(st) = server.staging.as_mut() else {
-                    continue;
-                };
-                if !st.config.scrub_enabled {
-                    continue;
-                }
-                while st.scrub_inflight < st.config.max_inflight
-                    && st.scrub_cursor_bytes < st.scrub_target()
-                {
-                    let chunk = st
-                        .config
-                        .drain_chunk_bytes
-                        .min(st.scrub_target() - st.scrub_cursor_bytes)
-                        .max(1);
-                    let req = IoRequest::new(
-                        next_seq,
-                        TrafficClass::Scrub.meta(server_idx),
-                        OpKind::Read,
-                        chunk,
-                        now,
-                    );
-                    next_seq += 1;
-                    st.scrub_cursor_bytes += chunk;
-                    st.scrub_inflight += 1;
-                    server.engine.admit(req);
-                }
-            }
-
-            // 2d. Synthesize rebalance traffic: once the reshard instant has
-            // passed, the migration cursor chases the backlog of misplaced
-            // bytes — each chunk a policy-arbitrated *write* under the
-            // rebalance class (one verified copy streaming onto its new
-            // replica set), mirroring the live pipeline's costing.
-            for (server_idx, server) in servers.iter_mut().enumerate() {
-                let Some(st) = server.staging.as_mut() else {
-                    continue;
-                };
-                if !st.config.rebalance_enabled || now < st.config.reshard_at_ns {
-                    continue;
-                }
-                while st.rebalance_inflight < st.config.max_inflight
-                    && st.rebalance_cursor_bytes < st.config.rebalance_backlog_bytes
-                {
-                    let chunk = st
-                        .config
-                        .drain_chunk_bytes
-                        .min(st.config.rebalance_backlog_bytes - st.rebalance_cursor_bytes)
-                        .max(1);
-                    let req = IoRequest::new(
-                        next_seq,
-                        TrafficClass::Rebalance.meta(server_idx),
-                        OpKind::Write,
-                        chunk,
-                        now,
-                    );
-                    next_seq += 1;
-                    st.rebalance_cursor_bytes += chunk;
-                    st.rebalance_inflight += 1;
-                    server.engine.admit(req);
-                }
-            }
-
-            // 2e. Synthesize replicate traffic: the copy cursor chases the
-            // replication target (the boot debt plus the replicated share of
-            // this run's foreground write bytes) — each chunk a
-            // policy-arbitrated burst-buffer *read* under the replicate
-            // class whose payload then streams onto the replica tier,
-            // mirroring the live pipeline's costing.
-            for (server_idx, server) in servers.iter_mut().enumerate() {
-                let Some(st) = server.staging.as_mut() else {
-                    continue;
-                };
-                if !st.config.replicate_enabled {
-                    continue;
-                }
-                while st.replicate_inflight < st.config.max_inflight
-                    && st.replicate_cursor_bytes < st.replicate_target()
-                {
-                    let chunk = st
-                        .config
-                        .drain_chunk_bytes
-                        .min(st.replicate_target() - st.replicate_cursor_bytes)
-                        .max(1);
-                    let req = IoRequest::new(
-                        next_seq,
-                        TrafficClass::Replicate.meta(server_idx),
-                        OpKind::Read,
-                        chunk,
-                        now,
-                    );
-                    next_seq += 1;
-                    st.replicate_cursor_bytes += chunk;
-                    st.replicate_inflight += 1;
-                    server.engine.admit(req);
+            // 2b. Synthesize internal traffic, class by class in registry
+            // order: each class's cursor chases its target in chunks, each
+            // a policy-arbitrated request under the class's job, up to the
+            // pipelining depth — the dirty backlog for drain, the tier's
+            // unverified bytes for scrub, the reshard's misplaced bytes
+            // (once the reshard has fired) for rebalance, the owed copies
+            // for replicate. Restores are admitted by read misses above,
+            // never here.
+            for class in TrafficClass::ALL {
+                for (server_idx, server) in servers.iter_mut().enumerate() {
+                    let Some(st) = server.staging.as_mut() else {
+                        continue;
+                    };
+                    if now < st.opens_at(class) {
+                        continue;
+                    }
+                    while st.lane(class).inflight < st.config.max_inflight
+                        && st.unadmitted(class) > 0
+                    {
+                        let chunk = st.config.drain_chunk_bytes.min(st.unadmitted(class)).max(1);
+                        let req = st.admit(class, server_idx, next_seq, chunk, now);
+                        next_seq += 1;
+                        server.engine.admit(req);
+                    }
                 }
             }
 
@@ -852,106 +736,48 @@ impl Simulation {
                         break;
                     };
                     let (start, finish) = server.device.dispatch(&req, now);
-                    match TrafficClass::of(req.meta.job) {
-                        Some(TrafficClass::Drain) => {
+                    if let Some(class) = TrafficClass::of(req.meta.job) {
+                        let st = server
+                            .staging
+                            .as_mut()
+                            .expect("internal traffic only exists with staging");
+                        // The tier-side leg of the transfer, same request
+                        // identity as the engine's grant.
+                        let leg = |kind, at| IoRequest::new(req.seq, req.meta, kind, req.bytes, at);
+                        let landed_ns = match class {
                             // The drained chunk leaves the burst buffer at
                             // `finish` and lands in the capacity tier when
                             // the (slower) backing device completes the
                             // write.
-                            let st = server
-                                .staging
-                                .as_mut()
-                                .expect("drain traffic only exists with staging");
-                            let write =
-                                IoRequest::new(req.seq, req.meta, OpKind::Write, req.bytes, finish);
-                            let (_, backing_finish) = st.backing.dispatch(&write, finish);
-                            drain_events.push(Reverse((backing_finish, server_idx, req.bytes)));
-                            continue;
-                        }
-                        Some(TrafficClass::Restore) => {
-                            // The engine granted the burst-buffer write; the
-                            // capacity-tier read is charged in parallel, and
-                            // the bytes land when both are done.
-                            let st = server
-                                .staging
-                                .as_mut()
-                                .expect("restore traffic only exists with staging");
-                            let read =
-                                IoRequest::new(req.seq, req.meta, OpKind::Read, req.bytes, now);
-                            let (_, backing_finish) = st.backing.dispatch(&read, now);
-                            restore_events.push(Reverse((
-                                finish.max(backing_finish),
-                                server_idx,
-                                req.seq,
-                                req.bytes,
-                            )));
-                            continue;
-                        }
-                        Some(TrafficClass::Scrub) => {
-                            // The engine granted the verification its service
-                            // slot; the capacity-tier read that actually
-                            // fetches the bytes is charged in parallel, and
-                            // the chunk counts as verified when both finish.
-                            let st = server
-                                .staging
-                                .as_mut()
-                                .expect("scrub traffic only exists with staging");
-                            let read =
-                                IoRequest::new(req.seq, req.meta, OpKind::Read, req.bytes, now);
-                            let (_, backing_finish) = st.backing.dispatch(&read, now);
-                            scrub_events.push(Reverse((
-                                finish.max(backing_finish),
-                                server_idx,
-                                req.bytes,
-                            )));
-                            continue;
-                        }
-                        Some(TrafficClass::Rebalance) => {
-                            // The engine granted the migration its service
-                            // slot; the capacity tier is charged the verified
+                            TrafficClass::Drain => {
+                                st.backing.dispatch(&leg(OpKind::Write, finish), finish).1
+                            }
+                            // The engine granted the restore its burst-buffer
+                            // write (the scrub its verification slot); the
+                            // capacity-tier read that fetches the bytes is
+                            // charged in parallel, and the chunk lands when
+                            // both are done.
+                            TrafficClass::Restore | TrafficClass::Scrub => {
+                                finish.max(st.backing.dispatch(&leg(OpKind::Read, now), now).1)
+                            }
+                            // The capacity tier is charged the verified
                             // source read followed by the replica write, and
                             // the chunk counts as migrated when everything
                             // lands — the same costing as the live core.
-                            let st = server
-                                .staging
-                                .as_mut()
-                                .expect("rebalance traffic only exists with staging");
-                            let read =
-                                IoRequest::new(req.seq, req.meta, OpKind::Read, req.bytes, now);
-                            let (_, read_finish) = st.backing.dispatch(&read, now);
-                            let write = IoRequest::new(
-                                req.seq,
-                                req.meta,
-                                OpKind::Write,
-                                req.bytes,
-                                read_finish,
-                            );
-                            let (_, write_finish) = st.backing.dispatch(&write, read_finish);
-                            rebalance_events.push(Reverse((
-                                finish.max(write_finish),
-                                server_idx,
-                                req.bytes,
-                            )));
-                            continue;
-                        }
-                        Some(TrafficClass::Replicate) => {
-                            // The engine granted the copy its burst-read
-                            // slot; the replica write is charged on the
-                            // replica tier's own timeline once the read
-                            // finishes, and the chunk counts as replicated
-                            // when it lands — the same costing as the live
-                            // core.
-                            let st = server
-                                .staging
-                                .as_mut()
-                                .expect("replicate traffic only exists with staging");
-                            let write =
-                                IoRequest::new(req.seq, req.meta, OpKind::Write, req.bytes, finish);
-                            let (_, replica_finish) = st.replica.dispatch(&write, finish);
-                            replicate_events.push(Reverse((replica_finish, server_idx, req.bytes)));
-                            continue;
-                        }
-                        None => {}
+                            TrafficClass::Rebalance => {
+                                let (_, read) = st.backing.dispatch(&leg(OpKind::Read, now), now);
+                                finish.max(st.backing.dispatch(&leg(OpKind::Write, read), read).1)
+                            }
+                            // The engine granted the copy its burst-read slot;
+                            // the replica write is charged on the replica
+                            // tier's own timeline once the read finishes —
+                            // the same costing as the live core.
+                            TrafficClass::Replicate => {
+                                st.replica.dispatch(&leg(OpKind::Write, finish), finish).1
+                            }
+                        };
+                        landings.push(Reverse((landed_ns, class, server_idx, req.seq, req.bytes)));
+                        continue;
                     }
                     let completion = themis_core::request::Completion {
                         request: req,
@@ -961,7 +787,7 @@ impl Simulation {
                     server.engine.complete(&completion);
                     if req.kind == OpKind::Write {
                         if let Some(st) = server.staging.as_mut() {
-                            st.dirty_bytes += req.bytes;
+                            st.written_bytes += req.bytes;
                             if st.config.replicate_enabled {
                                 // The replicated share of this write now owes
                                 // a copy. Deterministic byte accounting — no
@@ -1003,56 +829,25 @@ impl Simulation {
             if let Some(Reverse((finish, _))) = completions.peek() {
                 next = next.min(*finish);
             }
-            if let Some(Reverse((finish, _, _))) = drain_events.peek() {
-                next = next.min(*finish);
+            if let Some(Reverse((landed_ns, ..))) = landings.peek() {
+                next = next.min(*landed_ns);
             }
-            if let Some(Reverse((finish, _, _, _))) = restore_events.peek() {
-                next = next.min(*finish);
-            }
-            if let Some(Reverse((finish, _, _))) = scrub_events.peek() {
-                next = next.min(*finish);
-            }
-            if let Some(Reverse((finish, _, _))) = rebalance_events.peek() {
-                next = next.min(*finish);
-            }
-            if let Some(Reverse((finish, _, _))) = replicate_events.peek() {
-                next = next.min(*finish);
-            }
-            for server in servers.iter() {
-                if let Some(st) = server.staging.as_ref() {
-                    // New dirty bytes appeared after this iteration's
-                    // admission pass: admit them on the next tick. Same for
-                    // freshly drained bytes the scrub cursor has not chased
-                    // yet.
-                    if st.inflight < st.config.max_inflight && st.dirty_bytes > st.queued_bytes {
-                        next = next.min(now + 1);
+            for st in servers.iter().filter_map(|s| s.staging.as_ref()) {
+                // A class whose target grew after this iteration's admission
+                // pass (new dirty bytes, freshly drained bytes the scrub
+                // cursor has not chased, new replication debt) admits on the
+                // next tick if it has room; a class that has not opened yet
+                // (rebalance before the reshard) keeps the run alive until
+                // it does.
+                for class in TrafficClass::ALL {
+                    if st.unadmitted(class) == 0 {
+                        continue;
                     }
-                    if st.config.scrub_enabled
-                        && st.scrub_inflight < st.config.max_inflight
-                        && st.scrub_cursor_bytes < st.scrub_target()
-                    {
+                    let opens_at = st.opens_at(class);
+                    if now < opens_at {
+                        next = next.min(opens_at);
+                    } else if st.lane(class).inflight < st.config.max_inflight {
                         next = next.min(now + 1);
-                    }
-                    if st.config.replicate_enabled
-                        && st.replicate_inflight < st.config.max_inflight
-                        && st.replicate_cursor_bytes < st.replicate_target()
-                    {
-                        next = next.min(now + 1);
-                    }
-                    if st.config.rebalance_enabled
-                        && st.rebalance_cursor_bytes < st.config.rebalance_backlog_bytes
-                    {
-                        // Migration backlog still owed: chase it next tick if
-                        // the reshard has fired, otherwise make sure the run
-                        // stays alive long enough to reach the reshard
-                        // instant at all.
-                        if now >= st.config.reshard_at_ns {
-                            if st.rebalance_inflight < st.config.max_inflight {
-                                next = next.min(now + 1);
-                            }
-                        } else {
-                            next = next.min(st.config.reshard_at_ns.max(now + 1));
-                        }
                     }
                 }
             }
@@ -1104,59 +899,21 @@ impl Simulation {
             }
         }
 
-        let drained_bytes = servers
-            .iter()
-            .filter_map(|s| s.staging.as_ref())
-            .map(|st| st.drained_bytes)
-            .sum();
-        let restored_bytes = servers
-            .iter()
-            .filter_map(|s| s.staging.as_ref())
-            .map(|st| st.restored_bytes)
-            .sum();
-        let scrubbed_bytes = servers
-            .iter()
-            .filter_map(|s| s.staging.as_ref())
-            .map(|st| st.scrubbed_bytes)
-            .sum();
-        let scrub_errors = servers
-            .iter()
-            .filter_map(|s| s.staging.as_ref())
-            .map(|st| st.scrub_errors)
-            .sum();
-        let residual_dirty_bytes = servers
-            .iter()
-            .filter_map(|s| s.staging.as_ref())
-            .map(|st| st.dirty_bytes)
-            .sum();
-        let migrated_bytes = servers
-            .iter()
-            .filter_map(|s| s.staging.as_ref())
-            .map(|st| st.migrated_bytes)
-            .sum();
-        let replicated_bytes = servers
-            .iter()
-            .filter_map(|s| s.staging.as_ref())
-            .map(|st| st.replicated_bytes)
-            .sum();
-        let residual_replication_lag = servers
-            .iter()
-            .filter_map(|s| s.staging.as_ref())
-            .filter(|st| st.config.replicate_enabled)
-            .map(|st| st.replicate_target().saturating_sub(st.replicated_bytes))
-            .sum();
+        let staging = || servers.iter().filter_map(|s| s.staging.as_ref());
+        let landed = |class| staging().map(|st| st.lane(class).landed).sum();
+        let owed = |class| staging().map(|st| st.owed(class)).sum();
         SimResult {
             metrics,
             job_finish_ns: job_finish,
             sim_end_ns: now,
-            drained_bytes,
-            restored_bytes,
-            scrubbed_bytes,
-            scrub_errors,
-            residual_dirty_bytes,
-            migrated_bytes,
-            replicated_bytes,
-            residual_replication_lag,
+            drained_bytes: landed(TrafficClass::Drain),
+            restored_bytes: landed(TrafficClass::Restore),
+            scrubbed_bytes: landed(TrafficClass::Scrub),
+            scrub_errors: staging().map(|st| st.scrub_errors).sum(),
+            migrated_bytes: landed(TrafficClass::Rebalance),
+            residual_dirty_bytes: owed(TrafficClass::Drain),
+            replicated_bytes: landed(TrafficClass::Replicate),
+            residual_replication_lag: owed(TrafficClass::Replicate),
             policy_epochs,
         }
     }

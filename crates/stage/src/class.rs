@@ -21,10 +21,10 @@
 //! the class's pipeline synthesizes traffic without being asked — lives in
 //! one table, [`TRAFFIC_CLASSES`]: `index()`, `name()`,
 //! [`ClassWeights::default`] and the engine's lane construction all follow
-//! it. A new class is one [`TrafficClassDef`] row plus its pipeline, and one
-//! arm each in the server core's admit, execute and land dispatch (an
-//! exhaustive `match`, so the compiler names every arm a new variant
-//! needs).
+//! it. A new class is one [`TrafficClassDef`] row plus its pipeline, one
+//! arm each in the server core's admit, execute and land dispatch, and one
+//! arm each in the simulator's `target`, `class_op` and dispatch `match`
+//! (all exhaustive, so the compiler names every arm a new variant needs).
 //!
 //! | class | job-id sub-range | direction | default weight |
 //! |-------|------------------|-----------|----------------|
