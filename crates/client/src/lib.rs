@@ -268,11 +268,7 @@ impl<L: ServerLink> ThemisClient<L> {
         for (server, rid) in request_ids.iter().enumerate() {
             match self.recv_stage_ack(server, *rid)? {
                 StageReply::Flushed { backing_bytes } => staged = staged.max(backing_bytes),
-                other => {
-                    return Err(FsError::InvalidArgument(format!(
-                        "unexpected staging reply {other:?}"
-                    )))
-                }
+                other => return Err(unexpected_reply(other)),
             }
         }
         Ok(staged)
@@ -299,28 +295,38 @@ impl<L: ServerLink> ThemisClient<L> {
         for (server, rid) in request_ids.iter().enumerate() {
             match self.recv_stage_ack(server, *rid)? {
                 StageReply::StagedIn { restored_bytes } => total += restored_bytes,
-                other => {
-                    return Err(FsError::InvalidArgument(format!(
-                        "unexpected staging reply {other:?}"
-                    )))
-                }
+                other => return Err(unexpected_reply(other)),
             }
         }
         Ok(total)
     }
 
+    /// Sends one control-plane query to `server` (modulo the server count)
+    /// and waits for its acknowledgement; `pick` unwraps the reply variant
+    /// the query expects.
+    fn query<T>(
+        &self,
+        server: usize,
+        message: impl FnOnce(u64) -> ClientMessage,
+        pick: impl FnOnce(StageReply) -> FsResult<T>,
+    ) -> FsResult<T> {
+        let server = server % self.links.len();
+        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
+        self.links[server].send(message(request_id));
+        pick(self.recv_stage_ack(server, request_id)?)
+    }
+
     /// Queries one server's staging state (dirty/resident/backing bytes,
     /// drain and eviction counters).
     pub fn drain_status(&self, server: usize) -> FsResult<DrainStatus> {
-        let server = server % self.links.len();
-        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        self.links[server].send(ClientMessage::DrainStatus { request_id });
-        match self.recv_stage_ack(server, request_id)? {
-            StageReply::Status(status) => Ok(status),
-            other => Err(FsError::InvalidArgument(format!(
-                "unexpected staging reply {other:?}"
-            ))),
-        }
+        self.query(
+            server,
+            |request_id| ClientMessage::DrainStatus { request_id },
+            |reply| match reply {
+                StageReply::Status(status) => Ok(status),
+                other => Err(unexpected_reply(other)),
+            },
+        )
     }
 
     /// Demands a full checksum-scrub pass over one server's share of the
@@ -331,43 +337,34 @@ impl<L: ServerLink> ThemisClient<L> {
     /// the policy engine at the server's foreground:scrub weight, so a
     /// demand scrub cannot starve other tenants.
     pub fn scrub(&self, server: usize) -> FsResult<ScrubStatus> {
-        let server = server % self.links.len();
-        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        self.links[server].send(ClientMessage::Scrub { request_id });
-        match self.recv_stage_ack(server, request_id)? {
-            StageReply::Scrub(status) => Ok(status),
-            other => Err(FsError::InvalidArgument(format!(
-                "unexpected staging reply {other:?}"
-            ))),
-        }
+        self.query(
+            server,
+            |request_id| ClientMessage::Scrub { request_id },
+            scrub_reply,
+        )
     }
 
     /// Queries one server's scrub state without forcing a pass.
     pub fn scrub_status(&self, server: usize) -> FsResult<ScrubStatus> {
-        let server = server % self.links.len();
-        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        self.links[server].send(ClientMessage::ScrubStatus { request_id });
-        match self.recv_stage_ack(server, request_id)? {
-            StageReply::Scrub(status) => Ok(status),
-            other => Err(FsError::InvalidArgument(format!(
-                "unexpected staging reply {other:?}"
-            ))),
-        }
+        self.query(
+            server,
+            |request_id| ClientMessage::ScrubStatus { request_id },
+            scrub_reply,
+        )
     }
 
     /// Queries one server's rebalance state: the sharded tier's map and
     /// generation convergence plus the migration counters. On a server with
     /// an unsharded capacity tier the reply reports `sharded: false`.
     pub fn rebalance_status(&self, server: usize) -> FsResult<RebalanceStatus> {
-        let server = server % self.links.len();
-        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        self.links[server].send(ClientMessage::RebalanceStatus { request_id });
-        match self.recv_stage_ack(server, request_id)? {
-            StageReply::Rebalance(status) => Ok(status),
-            other => Err(FsError::InvalidArgument(format!(
-                "unexpected staging reply {other:?}"
-            ))),
-        }
+        self.query(
+            server,
+            |request_id| ClientMessage::RebalanceStatus { request_id },
+            |reply| match reply {
+                StageReply::Rebalance(status) => Ok(status),
+                other => Err(unexpected_reply(other)),
+            },
+        )
     }
 
     /// Queries one server's durability-replication state: the replication
@@ -375,15 +372,14 @@ impl<L: ServerLink> ThemisClient<L> {
     /// and the `sync` acks still parked. With no durability spec in force
     /// the reply reports `enabled: false` with zero lag.
     pub fn replicate_status(&self, server: usize) -> FsResult<ReplicateStatus> {
-        let server = server % self.links.len();
-        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        self.links[server].send(ClientMessage::ReplicateStatus { request_id });
-        match self.recv_stage_ack(server, request_id)? {
-            StageReply::Replicate(status) => Ok(status),
-            other => Err(FsError::InvalidArgument(format!(
-                "unexpected staging reply {other:?}"
-            ))),
-        }
+        self.query(
+            server,
+            |request_id| ClientMessage::ReplicateStatus { request_id },
+            |reply| match reply {
+                StageReply::Replicate(status) => Ok(status),
+                other => Err(unexpected_reply(other)),
+            },
+        )
     }
 
     /// Cuts a live metrics snapshot: per-tenant completion series, per-class
@@ -393,33 +389,31 @@ impl<L: ServerLink> ThemisClient<L> {
     /// refreshed at the instant of the cut; peers refresh theirs on their
     /// own snapshots).
     pub fn metrics_snapshot(&self, server: usize) -> FsResult<MetricsSnapshot> {
-        let server = server % self.links.len();
-        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        self.links[server].send(ClientMessage::MetricsSnapshot { request_id });
-        match self.recv_stage_ack(server, request_id)? {
-            StageReply::Metrics(snapshot) => Ok(snapshot),
-            other => Err(FsError::InvalidArgument(format!(
-                "unexpected staging reply {other:?}"
-            ))),
-        }
+        self.query(
+            server,
+            |request_id| ClientMessage::MetricsSnapshot { request_id },
+            |reply| match reply {
+                StageReply::Metrics(snapshot) => Ok(snapshot),
+                other => Err(unexpected_reply(other)),
+            },
+        )
     }
 
     /// Dumps the newest `max_events` scheduler decisions (admissions, lane
     /// selections with their virtual times, parks and wakes) of one server.
     /// Empty when the telemetry crate's `trace` feature is compiled out.
     pub fn trace_dump(&self, server: usize, max_events: u64) -> FsResult<TraceDump> {
-        let server = server % self.links.len();
-        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        self.links[server].send(ClientMessage::TraceDump {
-            request_id,
-            max_events,
-        });
-        match self.recv_stage_ack(server, request_id)? {
-            StageReply::Trace(dump) => Ok(dump),
-            other => Err(FsError::InvalidArgument(format!(
-                "unexpected staging reply {other:?}"
-            ))),
-        }
+        self.query(
+            server,
+            |request_id| ClientMessage::TraceDump {
+                request_id,
+                max_events,
+            },
+            |reply| match reply {
+                StageReply::Trace(dump) => Ok(dump),
+                other => Err(unexpected_reply(other)),
+            },
+        )
     }
 
     /// Sends one heartbeat to every server so the job monitor keeps the job
@@ -662,6 +656,19 @@ impl<L: ServerLink> ThemisClient<L> {
             },
         )
         .map(|_| ())
+    }
+}
+
+/// The error for a staging acknowledgement of the wrong kind.
+fn unexpected_reply(reply: StageReply) -> FsError {
+    FsError::InvalidArgument(format!("unexpected staging reply {reply:?}"))
+}
+
+/// Unwraps the reply to a `Scrub` or `ScrubStatus` query.
+fn scrub_reply(reply: StageReply) -> FsResult<ScrubStatus> {
+    match reply {
+        StageReply::Scrub(status) => Ok(status),
+        other => Err(unexpected_reply(other)),
     }
 }
 

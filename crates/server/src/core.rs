@@ -296,8 +296,9 @@ impl ServerCore {
     /// caller-supplied [`MetricsRegistry`]. A multi-server deployment passes
     /// one shared registry to every server so a single
     /// [`ServerCore::metrics_snapshot`] (answered by any server) covers the
-    /// cluster. The policy engine and every staging pipeline are attached at
-    /// construction, so their counters are live from the first request.
+    /// cluster. The policy engine is attached and every staging pipeline
+    /// counts into the registry from construction, so their counters are
+    /// live from the first request and status replies read the same handles.
     pub fn with_telemetry(
         server_index: usize,
         fs: BurstBufferFs,
@@ -325,33 +326,31 @@ impl ServerCore {
             staged.attach_telemetry(&registry, server_index);
         }
         let staging = config.staging.as_ref().map(|sc| {
-            let mut pipeline = DrainPipeline::new(server_index, sc.drain);
-            pipeline.attach_telemetry(&registry);
-            let mut restore = RestorePipeline::new(server_index, sc.drain.max_inflight);
-            restore.attach_telemetry(&registry);
-            let mut scrub = ScrubPipeline::new(
+            let pipeline = DrainPipeline::new(server_index, sc.drain, &registry);
+            let restore = RestorePipeline::new(server_index, sc.drain.max_inflight, &registry);
+            let scrub = ScrubPipeline::new(
                 server_index,
                 sc.drain.classes.is_enabled(TrafficClass::Scrub),
                 sc.drain.scrub_interval_ns,
                 sc.drain.max_inflight,
+                &registry,
             );
-            scrub.attach_telemetry(&registry);
-            let mut rebalance = RebalancePipeline::new(
+            let rebalance = RebalancePipeline::new(
                 server_index,
                 sc.drain.classes.is_enabled(TrafficClass::Rebalance),
                 sc.drain.max_inflight,
+                &registry,
             );
-            rebalance.attach_telemetry(&registry);
             // Replication runs only when the durability policy actually owes
             // replicas somewhere (and the class is not disabled outright);
             // otherwise the pipeline is constructed inert and takes no debt.
-            let mut replicate = ReplicatePipeline::new(
+            let replicate = ReplicatePipeline::new(
                 server_index,
                 sc.drain.classes.is_enabled(TrafficClass::Replicate)
                     && sc.durability.as_ref().is_some_and(|d| d.any_replicated()),
                 sc.drain.max_inflight,
+                &registry,
             );
-            replicate.attach_telemetry(&registry);
             let backing = backing.unwrap_or_else(|| match &sc.sharding {
                 Some(spec) => {
                     let store = spec.build().expect("staging shard spec must be valid");
@@ -726,41 +725,17 @@ impl ServerCore {
     /// disabled. Includes the restore backlog
     /// ([`DrainStatus::pending_restore_bytes`]) so clients can observe the
     /// stage-in queue delay their reads of evicted data will land behind.
-    ///
-    /// The status is a **view over the metrics registry**: every monotonic
-    /// counter comes from one sorted-order registry read (see
-    /// `MetricsRegistry::snapshot`), so the derived restore backlog
-    /// (`requested - completed`) can never go negative even when a snapshot
-    /// is cut mid-restore; only the instantaneous fields (gauges, inflight
-    /// depth) are sampled from the live structures.
     pub fn drain_status_snapshot(&self) -> Option<DrainStatus> {
         let st = self.staging.as_ref()?;
         self.refresh_gauges();
-        let snap = self.telemetry.registry.snapshot(0);
-        let s = self.server_index as u32;
-        let drain = TrafficClass::Drain.name();
-        let restore = TrafficClass::Restore.name();
-        let requested = snap.counter(s, 0, restore, "requested_bytes");
-        let completed = snap.counter(s, 0, restore, "completed_bytes");
-        debug_assert!(completed <= requested);
-        Some(DrainStatus {
-            resident_bytes: snap.gauge(s, 0, "fs", "resident_bytes") as u64,
-            dirty_bytes: snap.gauge(s, 0, "fs", "dirty_bytes") as u64,
-            backing_bytes: snap.gauge(s, 0, "fs", "backing_bytes") as u64,
-            inflight_extents: st.pipeline.inflight_len(),
-            drained_bytes: snap.counter(s, 0, drain, "drained_bytes"),
-            drained_ops: snap.counter(s, 0, drain, "drained_ops"),
-            evicted_bytes: snap.counter(s, 0, drain, "evicted_bytes"),
-            evicted_extents: snap.counter(s, 0, drain, "evicted_extents"),
-            // `completed_bytes` sorts (and is loaded) before
-            // `requested_bytes` in *this* snapshot, but the two counters are
-            // still maintained independently — saturate rather than betting
-            // the status message on a load-order invariant a future metric
-            // rename would silently break.
-            pending_restore_bytes: requested.saturating_sub(completed),
-            restored_bytes: snap.counter(s, 0, restore, "restored_bytes"),
-            restored_ops: snap.counter(s, 0, restore, "restored_ops"),
-        })
+        let t = &self.telemetry;
+        let mut status = st.pipeline.status(
+            t.resident_bytes.get() as u64,
+            t.dirty_bytes.get() as u64,
+            t.backing_bytes.get() as u64,
+        );
+        st.restore.fill_status(&mut status);
+        Some(status)
     }
 
     /// Takes the staging replies that became ready (flush acknowledgements,
@@ -889,33 +864,26 @@ impl ServerCore {
         });
     }
 
-    /// Handles a `DrainStatus` request.
-    pub fn drain_status(&mut self, request_id: u64) {
-        let reply = match self.drain_status_snapshot() {
-            Some(status) => StageReply::Status(status),
-            None => StageReply::Error("staging is not enabled on this server".into()),
-        };
+    /// Answers a status query immediately: `status` wrapped by `wrap`, or
+    /// an error when staging is disabled.
+    fn reply_status<T>(&mut self, request_id: u64, status: Option<T>, wrap: fn(T) -> StageReply) {
+        let reply = status.map_or_else(
+            || StageReply::Error("staging is not enabled on this server".into()),
+            wrap,
+        );
         self.stage_replies.push(StageReady { request_id, reply });
     }
 
+    /// Handles a `DrainStatus` request.
+    pub fn drain_status(&mut self, request_id: u64) {
+        let status = self.drain_status_snapshot();
+        self.reply_status(request_id, status, StageReply::Status);
+    }
+
     /// A point-in-time scrub status snapshot, `None` when staging is
-    /// disabled. Like [`ServerCore::drain_status_snapshot`], the monotonic
-    /// verification counters are a view over one sorted registry read;
-    /// structural state (pass progress, quarantine list) comes from the
-    /// pipeline.
+    /// disabled.
     pub fn scrub_status_snapshot(&self) -> Option<ScrubStatus> {
-        let st = self.staging.as_ref()?;
-        let mut status = st.scrub.status();
-        let snap = self.telemetry.registry.snapshot(0);
-        let s = self.server_index as u32;
-        let lane = TrafficClass::Scrub.name();
-        status.passes_completed = snap.counter(s, 0, lane, "passes_completed");
-        status.scrubbed_extents = snap.counter(s, 0, lane, "scrubbed_extents");
-        status.scrubbed_bytes = snap.counter(s, 0, lane, "scrubbed_bytes");
-        status.errors_detected = snap.counter(s, 0, lane, "errors_detected");
-        status.repaired_extents = snap.counter(s, 0, lane, "repaired_extents");
-        status.superseded_extents = snap.counter(s, 0, lane, "superseded_extents");
-        Some(status)
+        Some(self.staging.as_ref()?.scrub.status())
     }
 
     /// Handles a `MetricsSnapshot` request: refreshes this server's gauges
@@ -986,83 +954,34 @@ impl ServerCore {
 
     /// Handles a `ScrubStatus` request: an immediate snapshot reply.
     pub fn scrub_status(&mut self, request_id: u64) {
-        let reply = match self.scrub_status_snapshot() {
-            Some(status) => StageReply::Scrub(status),
-            None => StageReply::Error("staging is not enabled on this server".into()),
-        };
-        self.stage_replies.push(StageReady { request_id, reply });
+        let status = self.scrub_status_snapshot();
+        self.reply_status(request_id, status, StageReply::Scrub);
     }
 
     /// A point-in-time rebalance status snapshot, `None` when staging is
-    /// disabled. Like [`ServerCore::scrub_status_snapshot`], the monotonic
-    /// migration counters are a view over one sorted registry read;
-    /// structural state (map, generations, inflight depth) comes from the
-    /// pipeline and the sharded tier. On an unsharded tier the snapshot
-    /// reports `sharded: false` with every counter zero.
+    /// disabled. On an unsharded tier the snapshot reports `sharded: false`
+    /// with every counter zero.
     pub fn rebalance_status_snapshot(&self) -> Option<RebalanceStatus> {
         let st = self.staging.as_ref()?;
-        let mut status = st.rebalance.status(st.backing.as_sharded());
-        let snap = self.telemetry.registry.snapshot(0);
-        let s = self.server_index as u32;
-        let lane = TrafficClass::Rebalance.name();
-        let requested = snap.counter(s, 0, lane, "rebalance_requested_bytes");
-        let migrated = snap.counter(s, 0, lane, "rebalance_migrated_bytes");
-        status.requested_bytes = requested;
-        status.migrated_bytes = migrated;
-        // Independently-loaded counters: saturate, never trust load order
-        // (the same hazard as `DrainStatus::pending_restore_bytes`).
-        status.pending_bytes = requested.saturating_sub(migrated);
-        status.migrated_extents = snap.counter(s, 0, lane, "migrated_extents");
-        status.copies_written = snap.counter(s, 0, lane, "copies_written");
-        status.removed_extents = snap.counter(s, 0, lane, "removed_extents");
-        status.superseded_extents = snap.counter(s, 0, lane, "superseded_extents");
-        status.failed_extents = snap.counter(s, 0, lane, "failed_extents");
-        status.passes_completed = snap.counter(s, 0, lane, "passes_completed");
-        Some(status)
+        Some(st.rebalance.status(st.backing.as_sharded()))
     }
 
     /// Handles a `RebalanceStatus` request: an immediate snapshot reply.
     pub fn rebalance_status(&mut self, request_id: u64) {
-        let reply = match self.rebalance_status_snapshot() {
-            Some(status) => StageReply::Rebalance(status),
-            None => StageReply::Error("staging is not enabled on this server".into()),
-        };
-        self.stage_replies.push(StageReady { request_id, reply });
+        let status = self.rebalance_status_snapshot();
+        self.reply_status(request_id, status, StageReply::Rebalance);
     }
 
     /// A point-in-time replication status snapshot, `None` when staging is
-    /// disabled. Like [`ServerCore::rebalance_status_snapshot`], the
-    /// monotonic counters are a view over one sorted registry read;
-    /// structural state (queue depth, inflight, enablement) comes from the
-    /// pipeline.
+    /// disabled.
     pub fn replicate_status_snapshot(&self) -> Option<ReplicateStatus> {
-        let st = self.staging.as_ref()?;
-        let mut status = st.replicate.status();
-        let snap = self.telemetry.registry.snapshot(0);
-        let s = self.server_index as u32;
-        let lane = TrafficClass::Replicate.name();
-        let requested = snap.counter(s, 0, lane, "replicate_requested_bytes");
-        let completed = snap.counter(s, 0, lane, "replicate_completed_bytes");
-        status.requested_bytes = requested;
-        status.completed_bytes = completed;
-        // Independently-loaded counters: saturate, never trust load order
-        // (the same hazard as `DrainStatus::pending_restore_bytes`).
-        status.lag_bytes = requested.saturating_sub(completed);
-        status.replicated_bytes = snap.counter(s, 0, lane, "replicate_replicated_bytes");
-        status.replicated_extents = snap.counter(s, 0, lane, "replicated_extents");
-        status.failed_replications = snap.counter(s, 0, lane, "failed_replications");
-        status.sync_acks_deferred = snap.counter(s, 0, lane, "sync_acks_deferred");
-        status.sync_acks_released = snap.counter(s, 0, lane, "sync_acks_released");
-        Some(status)
+        Some(self.staging.as_ref()?.replicate.status())
     }
 
     /// Handles a `ReplicateStatus` request: an immediate snapshot reply.
     pub fn replicate_status(&mut self, request_id: u64) {
-        let reply = match self.replicate_status_snapshot() {
-            Some(status) => StageReply::Replicate(status),
-            None => StageReply::Error("staging is not enabled on this server".into()),
-        };
-        self.stage_replies.push(StageReady { request_id, reply });
+        let status = self.replicate_status_snapshot();
+        self.reply_status(request_id, status, StageReply::Replicate);
     }
 
     /// The replica tier's **verified** copy of `(path, stripe)` — `None`
@@ -3518,5 +3437,129 @@ mod tests {
         assert!(s.rebalance_status_snapshot().unwrap().migrated_extents >= 1);
         // Replicate: "/b"'s replica landed.
         assert_eq!(s.replica_extent("/b", 0), Some(vec![0xAB; extent]));
+
+        // Every status counter is the same-named registry series.
+        s.metrics_snapshot(702, last + 1);
+        let stage = s.take_stage_replies();
+        let [StageReady {
+            reply: StageReply::Metrics(snap),
+            ..
+        }] = &stage[..]
+        else {
+            panic!("{stage:?}");
+        };
+        let c = |lane: &str, name: &str| snap.counter(0, 0, lane, name);
+        let g = |name: &str| snap.gauge(0, 0, "fs", name) as u64;
+        let drain = s.drain_status_snapshot().unwrap();
+        assert_eq!(drain.resident_bytes, g("resident_bytes"));
+        assert_eq!(drain.dirty_bytes, g("dirty_bytes"));
+        assert_eq!(drain.backing_bytes, g("backing_bytes"));
+        assert_eq!(drain.drained_bytes, c("drain", "drained_bytes"));
+        assert_eq!(drain.drained_ops, c("drain", "drained_ops"));
+        assert_eq!(drain.evicted_bytes, c("drain", "evicted_bytes"));
+        assert_eq!(drain.evicted_extents, c("drain", "evicted_extents"));
+        assert_eq!(
+            drain.pending_restore_bytes,
+            c("restore", "requested_bytes") - c("restore", "completed_bytes")
+        );
+        assert_eq!(drain.restored_bytes, c("restore", "restored_bytes"));
+        assert_eq!(drain.restored_ops, c("restore", "restored_ops"));
+        let scrub = s.scrub_status_snapshot().unwrap();
+        assert_eq!(scrub.passes_completed, c("scrub", "passes_completed"));
+        assert_eq!(scrub.scrubbed_extents, c("scrub", "scrubbed_extents"));
+        assert_eq!(scrub.scrubbed_bytes, c("scrub", "scrubbed_bytes"));
+        assert_eq!(scrub.errors_detected, c("scrub", "errors_detected"));
+        assert_eq!(scrub.repaired_extents, c("scrub", "repaired_extents"));
+        assert_eq!(scrub.superseded_extents, c("scrub", "superseded_extents"));
+        assert_eq!(
+            scrub.quarantined_extents() as i64,
+            snap.gauge(0, 0, "scrub", "quarantined_extents")
+        );
+        let rebalance = s.rebalance_status_snapshot().unwrap();
+        let requested = c("rebalance", "rebalance_requested_bytes");
+        assert_eq!(rebalance.requested_bytes, requested);
+        assert_eq!(
+            rebalance.migrated_bytes,
+            c("rebalance", "rebalance_migrated_bytes")
+        );
+        assert_eq!(
+            rebalance.pending_bytes,
+            requested - c("rebalance", "rebalance_completed_bytes")
+        );
+        assert_eq!(
+            rebalance.migrated_extents,
+            c("rebalance", "migrated_extents")
+        );
+        assert_eq!(rebalance.copies_written, c("rebalance", "copies_written"));
+        assert_eq!(rebalance.removed_extents, c("rebalance", "removed_extents"));
+        assert_eq!(
+            rebalance.superseded_extents,
+            c("rebalance", "superseded_extents")
+        );
+        assert_eq!(rebalance.failed_extents, c("rebalance", "failed_extents"));
+        assert_eq!(
+            rebalance.passes_completed,
+            c("rebalance", "passes_completed")
+        );
+        let replicate = s.replicate_status_snapshot().unwrap();
+        let requested = c("replicate", "replicate_requested_bytes");
+        let completed = c("replicate", "replicate_completed_bytes");
+        assert_eq!(replicate.requested_bytes, requested);
+        assert_eq!(replicate.completed_bytes, completed);
+        assert_eq!(replicate.lag_bytes, requested - completed);
+        assert_eq!(
+            replicate.replicated_bytes,
+            c("replicate", "replicate_replicated_bytes")
+        );
+        assert_eq!(
+            replicate.replicated_extents,
+            c("replicate", "replicated_extents")
+        );
+        assert_eq!(
+            replicate.failed_replications,
+            c("replicate", "failed_replications")
+        );
+        assert_eq!(
+            replicate.sync_acks_deferred,
+            c("replicate", "sync_acks_deferred")
+        );
+        assert_eq!(
+            replicate.sync_acks_released,
+            c("replicate", "sync_acks_released")
+        );
+    }
+
+    /// A status query reads its pipeline's registry handles, never the
+    /// whole registry: its cost stays flat as tenant series pile up beside
+    /// it.
+    #[test]
+    fn status_queries_do_not_scale_with_tenant_series() {
+        let mut s = staged_server(fast_staging());
+        let time_queries = |s: &ServerCore| {
+            (0..5)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    std::hint::black_box((
+                        s.drain_status_snapshot(),
+                        s.scrub_status_snapshot(),
+                        s.rebalance_status_snapshot(),
+                        s.replicate_status_snapshot(),
+                    ));
+                    start.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let empty = time_queries(&s);
+        for job in 1..=10_000u64 {
+            s.telemetry.tenant(0, job);
+        }
+        let crowded = time_queries(&s);
+        println!("status queries: {empty:?} at 0 tenant series, {crowded:?} at 10^4");
+        let bound = (empty * 10).max(empty + std::time::Duration::from_micros(200));
+        assert!(
+            crowded <= bound,
+            "status queries took {crowded:?} at 10^4 tenant series (bound {bound:?})"
+        );
     }
 }

@@ -193,61 +193,36 @@ pub struct InflightDrain {
     pub bytes: u64,
 }
 
-/// Pre-resolved registry handles mirroring [`DrainPipeline`]'s cumulative
-/// counters (attached by the server so `DrainStatus` can be built as a view
-/// over one registry snapshot).
-#[derive(Debug)]
-struct DrainStats {
-    drained_bytes: Counter,
-    drained_ops: Counter,
-    evicted_bytes: Counter,
-    evicted_extents: Counter,
-}
-
-/// Per-server drain bookkeeping: which extents are in flight, cumulative
-/// drain/eviction counters, and admission capacity.
+/// Per-server drain bookkeeping: which extents are in flight, admission
+/// capacity, and the registry counters of drained and evicted work (lane
+/// `"drain"`).
 #[derive(Debug)]
 pub struct DrainPipeline {
     server: usize,
     config: DrainConfig,
     inflight: HashMap<u64, InflightDrain>,
     inflight_keys: HashSet<(String, u64)>,
-    drained_bytes: u64,
-    drained_ops: u64,
-    evicted_bytes: u64,
-    evicted_extents: u64,
-    stats: Option<DrainStats>,
+    drained_bytes: Counter,
+    drained_ops: Counter,
+    evicted_bytes: Counter,
+    evicted_extents: Counter,
 }
 
 impl DrainPipeline {
-    /// Creates the pipeline of `server` under `config`.
-    pub fn new(server: usize, config: DrainConfig) -> Self {
+    /// Creates the pipeline of `server` under `config`, counting into
+    /// `registry` (lane `"drain"` on `server`).
+    pub fn new(server: usize, config: DrainConfig, registry: &MetricsRegistry) -> Self {
+        let key = SeriesKey::class(server, TrafficClass::Drain.name());
         DrainPipeline {
             server,
             config,
             inflight: HashMap::new(),
             inflight_keys: HashSet::new(),
-            drained_bytes: 0,
-            drained_ops: 0,
-            evicted_bytes: 0,
-            evicted_extents: 0,
-            stats: None,
-        }
-    }
-
-    /// Resolves registry handles for the pipeline's cumulative counters, so
-    /// every subsequent mutation is mirrored into `registry` (lane `"drain"`
-    /// on this pipeline's server) and a status snapshot can be assembled
-    /// from one consistent registry read. Call before any traffic flows —
-    /// counts recorded while detached are not back-filled.
-    pub fn attach_telemetry(&mut self, registry: &MetricsRegistry) {
-        let key = SeriesKey::class(self.server, TrafficClass::Drain.name());
-        self.stats = Some(DrainStats {
             drained_bytes: registry.counter(key, "drained_bytes"),
             drained_ops: registry.counter(key, "drained_ops"),
             evicted_bytes: registry.counter(key, "evicted_bytes"),
             evicted_extents: registry.counter(key, "evicted_extents"),
-        });
+        }
     }
 
     /// The pipeline configuration.
@@ -317,23 +292,15 @@ impl DrainPipeline {
     pub fn complete(&mut self, seq: u64) -> Option<InflightDrain> {
         let d = self.inflight.remove(&seq)?;
         self.inflight_keys.remove(&(d.path.clone(), d.stripe));
-        self.drained_bytes += d.bytes;
-        self.drained_ops += 1;
-        if let Some(s) = &self.stats {
-            s.drained_bytes.add(d.bytes);
-            s.drained_ops.inc();
-        }
+        self.drained_bytes.add(d.bytes);
+        self.drained_ops.inc();
         Some(d)
     }
 
     /// Accounts a watermark eviction of `bytes` across `extents` extents.
     pub fn record_eviction(&mut self, extents: u64, bytes: u64) {
-        self.evicted_extents += extents;
-        self.evicted_bytes += bytes;
-        if let Some(s) = &self.stats {
-            s.evicted_extents.add(extents);
-            s.evicted_bytes.add(bytes);
-        }
+        self.evicted_extents.add(extents);
+        self.evicted_bytes.add(bytes);
     }
 
     /// Builds the status snapshot given the shard-side numbers the pipeline
@@ -346,10 +313,10 @@ impl DrainPipeline {
             dirty_bytes,
             backing_bytes,
             inflight_extents: self.inflight.len(),
-            drained_bytes: self.drained_bytes,
-            drained_ops: self.drained_ops,
-            evicted_bytes: self.evicted_bytes,
-            evicted_extents: self.evicted_extents,
+            drained_bytes: self.drained_bytes.get(),
+            drained_ops: self.drained_ops.get(),
+            evicted_bytes: self.evicted_bytes.get(),
+            evicted_extents: self.evicted_extents.get(),
             pending_restore_bytes: 0,
             restored_bytes: 0,
             restored_ops: 0,
@@ -418,30 +385,20 @@ impl RestoreTarget {
     }
 }
 
-/// Pre-resolved registry handles mirroring [`RestorePipeline`]'s counters.
-///
-/// The backlog is **derived**, not stored: `requested_bytes` grows when a
-/// restore is queued and `completed_bytes` grows (by the same admitted cost)
-/// when it lands, so `pending = requested - completed` is non-negative in
-/// *any* registry snapshot — per-writer `requested` is bumped first, and the
-/// snapshot's sorted load order reads `completed_bytes` before
-/// `requested_bytes` (the follower-sorts-first naming convention, see
-/// `MetricsRegistry::snapshot`).
-#[derive(Debug)]
-struct RestoreStats {
-    requested_bytes: Counter,
-    completed_bytes: Counter,
-    restored_bytes: Counter,
-    restored_ops: Counter,
-}
-
 /// Per-server restore bookkeeping: the queue of extents waiting for
-/// admission, the extents in flight, and cumulative stage-in counters.
+/// admission, the extents in flight, and the registry counters of stage-in
+/// work (lane `"restore"`).
 ///
 /// Mirrors [`DrainPipeline`] for the opposite direction: the pipeline
 /// decides *what* needs to come back and synthesizes the policy-visible
 /// [`IoRequest`]s (under the [`TrafficClass::Restore`] identity); the server
 /// core moves the bytes when the engine releases each request.
+///
+/// The backlog is **derived**, not stored: `requested_bytes` grows when a
+/// restore is queued and `completed_bytes` grows (by the same admitted cost)
+/// when it lands, so `pending = requested - completed`. `completed_bytes`
+/// sorts before `requested_bytes`, so a registry snapshot loads the
+/// follower first (see `MetricsRegistry::snapshot`).
 #[derive(Debug)]
 pub struct RestorePipeline {
     server: usize,
@@ -451,42 +408,29 @@ pub struct RestorePipeline {
     /// Keys queued or in flight, for deduplication: many waiters may need
     /// the same extent, which must be restored exactly once.
     pending_keys: HashSet<(usize, String, u64)>,
-    queued_bytes: u64,
-    inflight_bytes: u64,
-    restored_bytes: u64,
-    restored_ops: u64,
-    stats: Option<RestoreStats>,
+    requested_bytes: Counter,
+    completed_bytes: Counter,
+    restored_bytes: Counter,
+    restored_ops: Counter,
 }
 
 impl RestorePipeline {
     /// Creates the restore pipeline of `server` admitting at most
-    /// `max_inflight` extents at a time.
-    pub fn new(server: usize, max_inflight: usize) -> Self {
+    /// `max_inflight` extents at a time, counting into `registry` (lane
+    /// `"restore"` on `server`).
+    pub fn new(server: usize, max_inflight: usize, registry: &MetricsRegistry) -> Self {
+        let key = SeriesKey::class(server, TrafficClass::Restore.name());
         RestorePipeline {
             server,
             max_inflight: max_inflight.max(1),
             queue: VecDeque::new(),
             inflight: HashMap::new(),
             pending_keys: HashSet::new(),
-            queued_bytes: 0,
-            inflight_bytes: 0,
-            restored_bytes: 0,
-            restored_ops: 0,
-            stats: None,
-        }
-    }
-
-    /// Resolves registry handles (lane `"restore"` on this pipeline's
-    /// server) so every subsequent mutation is mirrored into `registry` —
-    /// see [`DrainPipeline::attach_telemetry`].
-    pub fn attach_telemetry(&mut self, registry: &MetricsRegistry) {
-        let key = SeriesKey::class(self.server, TrafficClass::Restore.name());
-        self.stats = Some(RestoreStats {
             requested_bytes: registry.counter(key, "requested_bytes"),
             completed_bytes: registry.counter(key, "completed_bytes"),
             restored_bytes: registry.counter(key, "restored_bytes"),
             restored_ops: registry.counter(key, "restored_ops"),
-        });
+        }
     }
 
     /// The restore job identity of this server.
@@ -521,10 +465,7 @@ impl RestorePipeline {
             return false;
         }
         self.pending_keys.insert(key);
-        self.queued_bytes += target.bytes.max(1);
-        if let Some(s) = &self.stats {
-            s.requested_bytes.add(target.bytes.max(1));
-        }
+        self.requested_bytes.add(target.bytes.max(1));
         self.queue.push_back(target);
         true
     }
@@ -541,8 +482,6 @@ impl RestorePipeline {
         }
         let target = self.queue.pop_front()?;
         let bytes = target.bytes.max(1);
-        self.queued_bytes -= bytes;
-        self.inflight_bytes += bytes;
         let request = IoRequest::new(seq, self.meta(), OpKind::Write, bytes, now_ns);
         self.inflight.insert(seq, target);
         Some(request)
@@ -560,25 +499,24 @@ impl RestorePipeline {
     pub fn complete(&mut self, seq: u64, actual_bytes: u64) -> Option<RestoreTarget> {
         let target = self.inflight.remove(&seq)?;
         self.pending_keys.remove(&target.key());
-        self.inflight_bytes -= target.bytes.max(1);
-        self.restored_bytes += actual_bytes;
-        self.restored_ops += 1;
-        if let Some(s) = &self.stats {
-            // Completed at the *admitted* cost, matching `requested_bytes`'
-            // unit, so the derived backlog nets out exactly; the tier copy's
-            // true length is accounted separately.
-            s.completed_bytes.add(target.bytes.max(1));
-            s.restored_bytes.add(actual_bytes);
-            s.restored_ops.inc();
-        }
+        // Completed at the *admitted* cost, matching `requested_bytes`' unit,
+        // so the derived backlog nets out exactly; the tier copy's true
+        // length is accounted separately.
+        self.completed_bytes.add(target.bytes.max(1));
+        self.restored_bytes.add(actual_bytes);
+        self.restored_ops.inc();
         Some(target)
     }
 
     /// Bytes of restore work admitted and not yet completed (queued plus in
     /// flight) — the backlog surfaced as
-    /// [`DrainStatus::pending_restore_bytes`].
+    /// [`DrainStatus::pending_restore_bytes`]. The completed counter is
+    /// loaded first, so the difference never goes negative.
     pub fn pending_bytes(&self) -> u64 {
-        self.queued_bytes + self.inflight_bytes
+        let completed = self.completed_bytes.get();
+        let requested = self.requested_bytes.get();
+        debug_assert!(completed <= requested);
+        requested.saturating_sub(completed)
     }
 
     /// Whether any restore work is queued or in flight.
@@ -586,16 +524,11 @@ impl RestorePipeline {
         !self.queue.is_empty() || !self.inflight.is_empty()
     }
 
-    /// Total bytes restored since boot.
-    pub fn restored_bytes(&self) -> u64 {
-        self.restored_bytes
-    }
-
     /// Merges this pipeline's counters into a status snapshot.
     pub fn fill_status(&self, status: &mut DrainStatus) {
         status.pending_restore_bytes = self.pending_bytes();
-        status.restored_bytes = self.restored_bytes;
-        status.restored_ops = self.restored_ops;
+        status.restored_bytes = self.restored_bytes.get();
+        status.restored_ops = self.restored_ops.get();
     }
 }
 
@@ -676,7 +609,7 @@ mod tests {
 
     #[test]
     fn restore_pipeline_dedups_upgrades_and_accounts() {
-        let mut p = RestorePipeline::new(1, 2);
+        let mut p = RestorePipeline::new(1, 2, &MetricsRegistry::new());
         let clean = RestoreTarget {
             shard: 1,
             path: "/f".into(),
@@ -717,11 +650,11 @@ mod tests {
         // Completion frees depth, re-allows the key, and accounts actuals.
         let done = p.complete(10, 1 << 20).unwrap();
         assert_eq!(done.stripe, 0);
-        assert_eq!(p.restored_bytes(), 1 << 20);
         assert!(!p.is_pending(&(1, "/f".to_string(), 0)));
         assert!(p.admit_next(12, 0).is_some());
         let mut status = DrainStatus::default();
         p.fill_status(&mut status);
+        assert_eq!(status.restored_bytes, 1 << 20);
         assert_eq!(status.restored_ops, 1);
         assert_eq!(status.pending_restore_bytes, 2 << 20);
         assert!(!status.restore_idle());
@@ -754,6 +687,7 @@ mod tests {
                 max_inflight: 2,
                 ..DrainConfig::default()
             },
+            &MetricsRegistry::new(),
         );
         assert_eq!(p.admission_capacity(), 2);
         let r = p.admit(7, "/ckpt".into(), 0, 42, 1 << 20, 100);
@@ -773,7 +707,7 @@ mod tests {
 
     #[test]
     fn status_aggregates_counters() {
-        let mut p = DrainPipeline::new(0, DrainConfig::default());
+        let mut p = DrainPipeline::new(0, DrainConfig::default(), &MetricsRegistry::new());
         p.admit(1, "/a".into(), 0, 1, 100, 0);
         p.complete(1);
         p.record_eviction(2, 300);

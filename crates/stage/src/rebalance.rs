@@ -53,12 +53,12 @@ pub struct RebalanceStatus {
     pub inflight: usize,
     /// Bytes of migration work admitted since boot.
     pub requested_bytes: u64,
-    /// Bytes whose migration completed since boot.
+    /// Bytes actually moved by completed migrations since boot.
     pub migrated_bytes: u64,
-    /// Bytes of admitted migrations that have not completed yet — derived
-    /// as a saturating difference because the underlying counters are
-    /// loaded independently (see `pending_restore_bytes` in `DrainStatus`
-    /// for the same hazard).
+    /// Bytes of admitted migrations that have not completed yet:
+    /// `rebalance_requested_bytes - rebalance_completed_bytes`, both at the
+    /// admitted cost, so every outcome (migrated, superseded, failed)
+    /// retires its share.
     pub pending_bytes: u64,
     /// Extents whose placement this pipeline corrected since boot.
     pub migrated_extents: u64,
@@ -87,22 +87,13 @@ impl RebalanceStatus {
     }
 }
 
-/// Pre-resolved registry handles mirroring [`RebalancePipeline`]'s
-/// cumulative counters (lane `"rebalance"`).
-#[derive(Debug)]
-struct RebalanceStats {
-    requested_bytes: Counter,
-    migrated_bytes: Counter,
-    migrated_extents: Counter,
-    copies_written: Counter,
-    removed_extents: Counter,
-    superseded_extents: Counter,
-    failed_extents: Counter,
-    passes_completed: Counter,
-}
-
 /// Per-server rebalance bookkeeping: the pass cursor over the sharded
-/// tier's logical keyspace, migrations in flight, and cumulative counters.
+/// tier's logical keyspace, migrations in flight, and the registry counters
+/// of migration outcomes (lane `"rebalance"`).
+///
+/// The backlog is derived like restore's: `completed_bytes` grows by the
+/// admitted cost of every migration that lands, whatever its outcome, and
+/// `rebalance_completed_bytes` sorts before `rebalance_requested_bytes`.
 ///
 /// Mirrors [`ScrubPipeline`](crate::scrub::ScrubPipeline): the pipeline
 /// decides *what* to migrate and synthesizes the policy-visible requests
@@ -125,22 +116,29 @@ pub struct RebalancePipeline {
     /// is false and even without a generation change.
     forced: bool,
     inflight: HashMap<u64, MigrationPlan>,
-    requested_bytes: u64,
-    migrated_bytes: u64,
-    migrated_extents: u64,
-    copies_written: u64,
-    removed_extents: u64,
-    superseded_extents: u64,
-    failed_extents: u64,
-    passes_completed: u64,
-    stats: Option<RebalanceStats>,
+    requested_bytes: Counter,
+    completed_bytes: Counter,
+    migrated_bytes: Counter,
+    migrated_extents: Counter,
+    copies_written: Counter,
+    removed_extents: Counter,
+    superseded_extents: Counter,
+    failed_extents: Counter,
+    passes_completed: Counter,
 }
 
 impl RebalancePipeline {
     /// Creates the rebalance pipeline of `server`: `enabled` migrates
     /// automatically whenever the shard map's generation moves, admitting
-    /// at most `max_inflight` migrations at a time.
-    pub fn new(server: usize, enabled: bool, max_inflight: usize) -> Self {
+    /// at most `max_inflight` migrations at a time, counting into
+    /// `registry` (lane `"rebalance"` on `server`).
+    pub fn new(
+        server: usize,
+        enabled: bool,
+        max_inflight: usize,
+        registry: &MetricsRegistry,
+    ) -> Self {
+        let key = SeriesKey::class(server, crate::TrafficClass::Rebalance.name());
         RebalancePipeline {
             server,
             enabled,
@@ -152,24 +150,8 @@ impl RebalancePipeline {
             converged_generation: 0,
             forced: false,
             inflight: HashMap::new(),
-            requested_bytes: 0,
-            migrated_bytes: 0,
-            migrated_extents: 0,
-            copies_written: 0,
-            removed_extents: 0,
-            superseded_extents: 0,
-            failed_extents: 0,
-            passes_completed: 0,
-            stats: None,
-        }
-    }
-
-    /// Resolves registry handles (lane `"rebalance"` on this pipeline's
-    /// server) so every subsequent outcome is mirrored into `registry`.
-    pub fn attach_telemetry(&mut self, registry: &MetricsRegistry) {
-        let key = SeriesKey::class(self.server, crate::TrafficClass::Rebalance.name());
-        self.stats = Some(RebalanceStats {
             requested_bytes: registry.counter(key, "rebalance_requested_bytes"),
+            completed_bytes: registry.counter(key, "rebalance_completed_bytes"),
             migrated_bytes: registry.counter(key, "rebalance_migrated_bytes"),
             migrated_extents: registry.counter(key, "migrated_extents"),
             copies_written: registry.counter(key, "copies_written"),
@@ -177,7 +159,7 @@ impl RebalancePipeline {
             superseded_extents: registry.counter(key, "superseded_extents"),
             failed_extents: registry.counter(key, "failed_extents"),
             passes_completed: registry.counter(key, "passes_completed"),
-        });
+        }
     }
 
     /// The rebalance job identity of this server.
@@ -243,10 +225,7 @@ impl RebalancePipeline {
                 continue;
             }
             let bytes = plan.bytes.max(1);
-            self.requested_bytes += bytes;
-            if let Some(s) = &self.stats {
-                s.requested_bytes.add(bytes);
-            }
+            self.requested_bytes.add(bytes);
             self.inflight.insert(seq, plan);
             return Some(IoRequest::new(
                 seq,
@@ -263,44 +242,35 @@ impl RebalancePipeline {
         self.inflight.get(&seq)
     }
 
-    /// Completes a migration: removes it from the in-flight set and
-    /// returns the plan so the caller can execute it and record the
-    /// outcome with one of the `record_*` methods.
+    /// Completes a migration: removes it from the in-flight set, retires
+    /// its admitted cost from the backlog, and returns the plan so the
+    /// caller can execute it and record the outcome with one of the
+    /// `record_*` methods.
     pub fn complete(&mut self, seq: u64) -> Option<MigrationPlan> {
-        self.inflight.remove(&seq)
+        let plan = self.inflight.remove(&seq)?;
+        self.completed_bytes.add(plan.bytes.max(1));
+        Some(plan)
     }
 
     /// Records an executed migration (`bytes` moved, `copies` replicas
     /// written, `removed` stale replicas pruned).
     pub fn record_migrated(&mut self, bytes: u64, copies: usize, removed: usize) {
-        self.migrated_bytes += bytes;
-        self.migrated_extents += 1;
-        self.copies_written += copies as u64;
-        self.removed_extents += removed as u64;
-        if let Some(s) = &self.stats {
-            s.migrated_bytes.add(bytes);
-            s.migrated_extents.inc();
-            s.copies_written.add(copies as u64);
-            s.removed_extents.add(removed as u64);
-        }
+        self.migrated_bytes.add(bytes);
+        self.migrated_extents.inc();
+        self.copies_written.add(copies as u64);
+        self.removed_extents.add(removed as u64);
     }
 
     /// Records a migration that found nothing left to do (the extent was
     /// deleted or a newer pass already converged it).
     pub fn record_superseded(&mut self) {
-        self.superseded_extents += 1;
-        if let Some(s) = &self.stats {
-            s.superseded_extents.inc();
-        }
+        self.superseded_extents.inc();
     }
 
     /// Records a migration refused because no replica verified — the
     /// extent stays put for the scrubber.
     pub fn record_failed(&mut self) {
-        self.failed_extents += 1;
-        if let Some(s) = &self.stats {
-            s.failed_extents.inc();
-        }
+        self.failed_extents.inc();
     }
 
     /// Finishes the pass if its cursor is exhausted and every in-flight
@@ -316,10 +286,7 @@ impl RebalancePipeline {
         self.cursor = None;
         self.cursor_exhausted = false;
         self.converged_generation = self.converged_generation.max(self.target_generation);
-        self.passes_completed += 1;
-        if let Some(s) = &self.stats {
-            s.passes_completed.inc();
-        }
+        self.passes_completed.inc();
         Some(self.converged_generation)
     }
 
@@ -340,6 +307,9 @@ impl RebalancePipeline {
             Some(s) => (true, s.generation(), s.map_text(), s.replication()),
             None => (false, 0, String::new(), 0),
         };
+        // The follower first: the difference never goes negative.
+        let completed = self.completed_bytes.get();
+        let requested = self.requested_bytes.get();
         RebalanceStatus {
             enabled: self.enabled,
             sharded,
@@ -349,17 +319,15 @@ impl RebalancePipeline {
             replication,
             pass_active: self.pass_active,
             inflight: self.inflight.len(),
-            requested_bytes: self.requested_bytes,
-            migrated_bytes: self.migrated_bytes,
-            // Independently-maintained totals: saturate instead of trusting
-            // update order (the satellite-1 audit rule).
-            pending_bytes: self.requested_bytes.saturating_sub(self.migrated_bytes),
-            migrated_extents: self.migrated_extents,
-            copies_written: self.copies_written,
-            removed_extents: self.removed_extents,
-            superseded_extents: self.superseded_extents,
-            failed_extents: self.failed_extents,
-            passes_completed: self.passes_completed,
+            requested_bytes: requested,
+            migrated_bytes: self.migrated_bytes.get(),
+            pending_bytes: requested.saturating_sub(completed),
+            migrated_extents: self.migrated_extents.get(),
+            copies_written: self.copies_written.get(),
+            removed_extents: self.removed_extents.get(),
+            superseded_extents: self.superseded_extents.get(),
+            failed_extents: self.failed_extents.get(),
+            passes_completed: self.passes_completed.get(),
         }
     }
 }
@@ -411,7 +379,7 @@ mod tests {
     #[test]
     fn idle_until_the_generation_moves_then_converges() {
         let store = seeded_store(16);
-        let mut p = RebalancePipeline::new(0, true, 4);
+        let mut p = RebalancePipeline::new(0, true, 4, &MetricsRegistry::new());
         assert!(p.admit_next(1, 0, &store, |_, _| true).is_none());
         assert!(p.status(Some(&store)).is_converged());
 
@@ -442,7 +410,7 @@ mod tests {
     #[test]
     fn disabled_pipeline_only_moves_when_forced() {
         let store = seeded_store(4);
-        let mut p = RebalancePipeline::new(0, false, 4);
+        let mut p = RebalancePipeline::new(0, false, 4, &MetricsRegistry::new());
         store
             .install_map(ShardMap::parse("00-ff=1").unwrap(), 1)
             .unwrap();
@@ -467,7 +435,7 @@ mod tests {
             .filter(|s| s % 2 == 0 && crate::shard::shard_byte("/ckpt", *s) < 0x80)
             .count() as u64;
         assert!(misplaced_even > 0, "hash spread left nothing to migrate");
-        let mut p0 = RebalancePipeline::new(0, true, 4);
+        let mut p0 = RebalancePipeline::new(0, true, 4, &MetricsRegistry::new());
         let mut seq = 1u64;
         loop {
             while let Some(req) = p0.admit_next(seq, 0, &store, |_, s| s % 2 == 0) {
@@ -489,7 +457,7 @@ mod tests {
         }
         assert_eq!(p0.status(Some(&store)).migrated_extents, misplaced_even);
         assert!(!store.verify_placement().converged());
-        let mut p1 = RebalancePipeline::new(1, true, 4);
+        let mut p1 = RebalancePipeline::new(1, true, 4, &MetricsRegistry::new());
         drain_pipeline(&mut p1, &store);
         assert!(store.verify_placement().converged());
     }
@@ -500,7 +468,7 @@ mod tests {
         store
             .install_map(ShardMap::parse("00-ff=1").unwrap(), 1)
             .unwrap();
-        let mut p = RebalancePipeline::new(0, true, 2);
+        let mut p = RebalancePipeline::new(0, true, 2, &MetricsRegistry::new());
         assert!(p.admit_next(1, 0, &store, |_, _| true).is_some());
         assert!(p.admit_next(2, 0, &store, |_, _| true).is_some());
         assert!(p.admit_next(3, 0, &store, |_, _| true).is_none());
@@ -519,6 +487,31 @@ mod tests {
         assert!(p.admit_next(3, 0, &store, |_, _| true).is_some());
     }
 
+    /// Every outcome retires its admitted cost: a migration superseded by
+    /// an unlink (nothing moved) leaves no phantom backlog behind.
+    #[test]
+    fn superseded_migration_retires_its_pending_bytes() {
+        let store = seeded_store(4);
+        store
+            .install_map(ShardMap::parse("00-ff=1").unwrap(), 1)
+            .unwrap();
+        let mut p = RebalancePipeline::new(0, true, 1, &MetricsRegistry::new());
+        let req = p.admit_next(1, 0, &store, |_, _| true).expect("misplaced");
+        assert_eq!(p.status(Some(&store)).pending_bytes, req.bytes);
+        // An unlink lands between admission and execution: delete wins.
+        store.remove_path("/ckpt");
+        let plan = p.complete(req.seq).unwrap();
+        assert_eq!(store.apply_migration(&plan), MigrationOutcome::Superseded);
+        p.record_superseded();
+        assert!(p.admit_next(2, 0, &store, |_, _| true).is_none());
+        assert!(p.finish_pass_if_idle().is_some());
+        let status = p.status(Some(&store));
+        assert_eq!(status.inflight, 0);
+        assert_eq!(status.superseded_extents, 1);
+        assert_eq!(status.migrated_bytes, 0);
+        assert_eq!(status.pending_bytes, 0, "{status:?}");
+    }
+
     #[test]
     fn telemetry_mirrors_every_counter() {
         let registry = MetricsRegistry::new();
@@ -526,8 +519,7 @@ mod tests {
         store
             .install_map(ShardMap::parse("00-ff=1").unwrap(), 1)
             .unwrap();
-        let mut p = RebalancePipeline::new(0, true, 4);
-        p.attach_telemetry(&registry);
+        let mut p = RebalancePipeline::new(0, true, 4, &registry);
         drain_pipeline(&mut p, &store);
         let snap = registry.snapshot(0);
         let status = p.status(Some(&store));

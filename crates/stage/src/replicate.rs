@@ -100,28 +100,15 @@ impl ReplicateStatus {
     }
 }
 
-/// Pre-resolved registry handles mirroring [`ReplicatePipeline`]'s
-/// cumulative counters (attached by the server so `ReplicateStatus` can be
-/// built as a view over one registry snapshot).
+/// Per-server replication bookkeeping: the queue of extents owing a
+/// replica, the copies in flight, and the registry counters of replication
+/// work (lane `"replicate"`).
 ///
 /// The lag is **derived**, not stored: `replicate_completed_bytes` sorts
 /// before `replicate_requested_bytes`, so a registry snapshot reads the
 /// follower first and `requested - completed` is non-negative in any
 /// snapshot (the follower-sorts-first naming convention, see
 /// `MetricsRegistry::snapshot`).
-#[derive(Debug)]
-struct ReplicateStats {
-    requested_bytes: Counter,
-    completed_bytes: Counter,
-    replicated_bytes: Counter,
-    replicated_extents: Counter,
-    failed_replications: Counter,
-    sync_acks_deferred: Counter,
-    sync_acks_released: Counter,
-}
-
-/// Per-server replication bookkeeping: the queue of extents owing a
-/// replica, the copies in flight, and cumulative replication counters.
 #[derive(Debug)]
 pub struct ReplicatePipeline {
     server: usize,
@@ -133,24 +120,28 @@ pub struct ReplicatePipeline {
     /// latest bytes at execution time).
     pending_keys: HashSet<(String, u64)>,
     inflight: HashMap<u64, ReplicaTarget>,
-    queued_bytes: u64,
-    inflight_bytes: u64,
-    requested_bytes: u64,
-    completed_bytes: u64,
-    replicated_bytes: u64,
-    replicated_extents: u64,
-    failed_replications: u64,
-    sync_acks_deferred: u64,
-    sync_acks_released: u64,
-    stats: Option<ReplicateStats>,
+    requested_bytes: Counter,
+    completed_bytes: Counter,
+    replicated_bytes: Counter,
+    replicated_extents: Counter,
+    failed_replications: Counter,
+    sync_acks_deferred: Counter,
+    sync_acks_released: Counter,
 }
 
 impl ReplicatePipeline {
     /// Creates the replication pipeline of `server`, admitting at most
-    /// `max_inflight` copies at a time. A disabled pipeline accepts no
-    /// debt — the server constructs it disabled when no durability spec
-    /// demands replicas.
-    pub fn new(server: usize, enabled: bool, max_inflight: usize) -> Self {
+    /// `max_inflight` copies at a time and counting into `registry` (lane
+    /// `"replicate"` on `server`). A disabled pipeline accepts no debt —
+    /// the server constructs it disabled when no durability spec demands
+    /// replicas.
+    pub fn new(
+        server: usize,
+        enabled: bool,
+        max_inflight: usize,
+        registry: &MetricsRegistry,
+    ) -> Self {
+        let key = SeriesKey::class(server, TrafficClass::Replicate.name());
         ReplicatePipeline {
             server,
             enabled,
@@ -158,27 +149,6 @@ impl ReplicatePipeline {
             queue: VecDeque::new(),
             pending_keys: HashSet::new(),
             inflight: HashMap::new(),
-            queued_bytes: 0,
-            inflight_bytes: 0,
-            requested_bytes: 0,
-            completed_bytes: 0,
-            replicated_bytes: 0,
-            replicated_extents: 0,
-            failed_replications: 0,
-            sync_acks_deferred: 0,
-            sync_acks_released: 0,
-            stats: None,
-        }
-    }
-
-    /// Resolves registry handles for the pipeline's cumulative counters
-    /// (lane `"replicate"` on this pipeline's server) so every subsequent
-    /// mutation is mirrored into `registry` — see
-    /// `DrainPipeline::attach_telemetry`. Call before any traffic flows;
-    /// counts recorded while detached are not back-filled.
-    pub fn attach_telemetry(&mut self, registry: &MetricsRegistry) {
-        let key = SeriesKey::class(self.server, TrafficClass::Replicate.name());
-        self.stats = Some(ReplicateStats {
             requested_bytes: registry.counter(key, "replicate_requested_bytes"),
             completed_bytes: registry.counter(key, "replicate_completed_bytes"),
             replicated_bytes: registry.counter(key, "replicate_replicated_bytes"),
@@ -186,7 +156,7 @@ impl ReplicatePipeline {
             failed_replications: registry.counter(key, "failed_replications"),
             sync_acks_deferred: registry.counter(key, "sync_acks_deferred"),
             sync_acks_released: registry.counter(key, "sync_acks_released"),
-        });
+        }
     }
 
     /// The replicate job identity of this server.
@@ -235,11 +205,7 @@ impl ReplicatePipeline {
         }
         let bytes = bytes.max(1);
         self.pending_keys.insert(key);
-        self.queued_bytes += bytes;
-        self.requested_bytes += bytes;
-        if let Some(s) = &self.stats {
-            s.requested_bytes.add(bytes);
-        }
+        self.requested_bytes.add(bytes);
         self.queue.push_back(ReplicaTarget {
             path,
             stripe,
@@ -260,10 +226,7 @@ impl ReplicatePipeline {
             return None;
         }
         let target = self.queue.pop_front()?;
-        let bytes = target.bytes;
-        self.queued_bytes -= bytes;
-        self.inflight_bytes += bytes;
-        let request = IoRequest::new(seq, self.meta(), OpKind::Read, bytes, now_ns);
+        let request = IoRequest::new(seq, self.meta(), OpKind::Read, target.bytes, now_ns);
         self.inflight.insert(seq, target);
         Some(request)
     }
@@ -281,55 +244,40 @@ impl ReplicatePipeline {
     pub fn complete(&mut self, seq: u64) -> Option<ReplicaTarget> {
         let target = self.inflight.remove(&seq)?;
         self.pending_keys.remove(&target.key());
-        self.inflight_bytes -= target.bytes;
-        self.completed_bytes += target.bytes;
-        if let Some(s) = &self.stats {
-            s.completed_bytes.add(target.bytes);
-        }
+        self.completed_bytes.add(target.bytes);
         Some(target)
     }
 
     /// Accounts one replica landed on the replica tier (`bytes` is the
     /// copy's true length).
     pub fn record_replicated(&mut self, bytes: u64) {
-        self.replicated_bytes += bytes;
-        self.replicated_extents += 1;
-        if let Some(s) = &self.stats {
-            s.replicated_bytes.add(bytes);
-            s.replicated_extents.inc();
-        }
+        self.replicated_bytes.add(bytes);
+        self.replicated_extents.inc();
     }
 
     /// Accounts a copy abandoned because its source bytes could not be
     /// verified (or no longer exist) — the debt is retired without a
     /// replica, and the failure is visible rather than laundered.
     pub fn record_failed(&mut self) {
-        self.failed_replications += 1;
-        if let Some(s) = &self.stats {
-            s.failed_replications.inc();
-        }
+        self.failed_replications.inc();
     }
 
     /// Accounts a `sync` write ack parked until its replica lands.
     pub fn record_sync_deferred(&mut self) {
-        self.sync_acks_deferred += 1;
-        if let Some(s) = &self.stats {
-            s.sync_acks_deferred.inc();
-        }
+        self.sync_acks_deferred.inc();
     }
 
     /// Accounts a parked `sync` ack released by a landed replica.
     pub fn record_sync_released(&mut self) {
-        self.sync_acks_released += 1;
-        if let Some(s) = &self.stats {
-            s.sync_acks_released.inc();
-        }
+        self.sync_acks_released.inc();
     }
 
     /// Bytes of replica debt not yet retired (queued plus in flight) — the
-    /// live replication lag.
+    /// live replication lag. The completed counter is loaded first, so the
+    /// difference never goes negative.
     pub fn lag_bytes(&self) -> u64 {
-        self.queued_bytes + self.inflight_bytes
+        let completed = self.completed_bytes.get();
+        self.requested_bytes.get().saturating_sub(completed)
     }
 
     /// Whether any replication work is queued or in flight.
@@ -339,20 +287,20 @@ impl ReplicatePipeline {
 
     /// Builds the status snapshot.
     pub fn status(&self) -> ReplicateStatus {
+        let completed = self.completed_bytes.get();
+        let requested = self.requested_bytes.get();
         ReplicateStatus {
             enabled: self.enabled,
             queued_extents: self.queue.len() as u64,
             inflight: self.inflight.len() as u64,
-            requested_bytes: self.requested_bytes,
-            completed_bytes: self.completed_bytes,
-            // Independently-maintained totals: saturate instead of trusting
-            // update order (the satellite-1 audit rule).
-            lag_bytes: self.requested_bytes.saturating_sub(self.completed_bytes),
-            replicated_bytes: self.replicated_bytes,
-            replicated_extents: self.replicated_extents,
-            failed_replications: self.failed_replications,
-            sync_acks_deferred: self.sync_acks_deferred,
-            sync_acks_released: self.sync_acks_released,
+            requested_bytes: requested,
+            completed_bytes: completed,
+            lag_bytes: requested.saturating_sub(completed),
+            replicated_bytes: self.replicated_bytes.get(),
+            replicated_extents: self.replicated_extents.get(),
+            failed_replications: self.failed_replications.get(),
+            sync_acks_deferred: self.sync_acks_deferred.get(),
+            sync_acks_released: self.sync_acks_released.get(),
         }
     }
 }
@@ -363,10 +311,10 @@ mod tests {
 
     #[test]
     fn local_only_and_disabled_pipelines_take_no_debt() {
-        let mut off = ReplicatePipeline::new(0, false, 4);
+        let mut off = ReplicatePipeline::new(0, false, 4, &MetricsRegistry::new());
         assert!(!off.note_write("/f", 0, 1 << 20, DurabilityMode::Sync));
         assert!(!off.is_busy());
-        let mut on = ReplicatePipeline::new(0, true, 4);
+        let mut on = ReplicatePipeline::new(0, true, 4, &MetricsRegistry::new());
         assert!(!on.note_write("/f", 0, 1 << 20, DurabilityMode::LocalOnly));
         assert!(!on.is_busy());
         assert!(on.note_write("/f", 0, 1 << 20, DurabilityMode::LocalPlusOne));
@@ -376,7 +324,7 @@ mod tests {
 
     #[test]
     fn dedup_keeps_one_copy_and_upgrades_to_sync() {
-        let mut p = ReplicatePipeline::new(1, true, 4);
+        let mut p = ReplicatePipeline::new(1, true, 4, &MetricsRegistry::new());
         assert!(p.note_write("/f", 0, 1 << 20, DurabilityMode::LocalPlusOne));
         // The re-dirtied extent owes exactly one copy…
         assert!(!p.note_write("/f", 0, 1 << 20, DurabilityMode::LocalPlusOne));
@@ -391,7 +339,7 @@ mod tests {
 
     #[test]
     fn depth_limits_inflight_and_completion_retires_debt() {
-        let mut p = ReplicatePipeline::new(0, true, 2);
+        let mut p = ReplicatePipeline::new(0, true, 2, &MetricsRegistry::new());
         for stripe in 0..3u64 {
             assert!(p.note_write("/ckpt", stripe, 1 << 20, DurabilityMode::LocalPlusOne));
         }
@@ -417,7 +365,7 @@ mod tests {
 
     #[test]
     fn failed_copies_retire_debt_without_replicas() {
-        let mut p = ReplicatePipeline::new(0, true, 4);
+        let mut p = ReplicatePipeline::new(0, true, 4, &MetricsRegistry::new());
         p.note_write("/gone", 0, 1 << 20, DurabilityMode::LocalPlusOne);
         p.admit_next(1, 0).unwrap();
         p.complete(1).unwrap();
@@ -431,7 +379,7 @@ mod tests {
 
     #[test]
     fn sync_ack_parking_blocks_idle_until_released() {
-        let mut p = ReplicatePipeline::new(0, true, 4);
+        let mut p = ReplicatePipeline::new(0, true, 4, &MetricsRegistry::new());
         p.note_write("/db", 0, 4096, DurabilityMode::Sync);
         p.record_sync_deferred();
         p.admit_next(1, 0).unwrap();
@@ -449,8 +397,7 @@ mod tests {
     #[test]
     fn telemetry_mirrors_every_counter() {
         let registry = MetricsRegistry::new();
-        let mut p = ReplicatePipeline::new(0, true, 4);
-        p.attach_telemetry(&registry);
+        let mut p = ReplicatePipeline::new(0, true, 4, &registry);
         p.note_write("/f", 0, 1000, DurabilityMode::Sync);
         p.record_sync_deferred();
         p.admit_next(1, 0).unwrap();

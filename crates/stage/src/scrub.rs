@@ -92,23 +92,11 @@ pub struct ScrubTarget {
     pub bytes: u64,
 }
 
-/// Pre-resolved registry handles mirroring [`ScrubPipeline`]'s cumulative
-/// counters. Quarantine membership is instantaneous (extents leave the set
-/// when a fresh drain rewrites them), so it mirrors into a gauge.
-#[derive(Debug)]
-struct ScrubStats {
-    passes_completed: Counter,
-    scrubbed_extents: Counter,
-    scrubbed_bytes: Counter,
-    errors_detected: Counter,
-    repaired_extents: Counter,
-    superseded_extents: Counter,
-    quarantined_extents: Gauge,
-}
-
 /// Per-server scrub bookkeeping: the pass cursor over the capacity tier,
-/// extents in flight, cumulative verification counters and the quarantine
-/// set.
+/// extents in flight, the quarantine set, and the registry counters of
+/// verification outcomes (lane `"scrub"`). Quarantine membership is
+/// instantaneous (extents leave the set when a fresh drain rewrites them),
+/// so its size is a gauge.
 ///
 /// Mirrors [`DrainPipeline`](crate::pipeline::DrainPipeline) /
 /// [`RestorePipeline`](crate::pipeline::RestorePipeline): the pipeline
@@ -137,21 +125,29 @@ pub struct ScrubPipeline {
     /// both `enabled` and the pass interval.
     forced: bool,
     inflight: HashMap<u64, ScrubTarget>,
-    passes_completed: u64,
-    scrubbed_extents: u64,
-    scrubbed_bytes: u64,
-    errors_detected: u64,
-    repaired_extents: u64,
-    superseded_extents: u64,
     quarantined: BTreeSet<(String, u64)>,
-    stats: Option<ScrubStats>,
+    passes_completed: Counter,
+    scrubbed_extents: Counter,
+    scrubbed_bytes: Counter,
+    errors_detected: Counter,
+    repaired_extents: Counter,
+    superseded_extents: Counter,
+    quarantined_extents: Gauge,
 }
 
 impl ScrubPipeline {
     /// Creates the scrub pipeline of `server`: `enabled` runs continuous
     /// passes paced by `interval_ns`, admitting at most `max_inflight`
-    /// verifications at a time.
-    pub fn new(server: usize, enabled: bool, interval_ns: u64, max_inflight: usize) -> Self {
+    /// verifications at a time, counting into `registry` (lane `"scrub"` on
+    /// `server`).
+    pub fn new(
+        server: usize,
+        enabled: bool,
+        interval_ns: u64,
+        max_inflight: usize,
+        registry: &MetricsRegistry,
+    ) -> Self {
+        let key = SeriesKey::class(server, crate::TrafficClass::Scrub.name());
         ScrubPipeline {
             server,
             enabled,
@@ -164,23 +160,7 @@ impl ScrubPipeline {
             next_pass_due_ns: 0,
             forced: false,
             inflight: HashMap::new(),
-            passes_completed: 0,
-            scrubbed_extents: 0,
-            scrubbed_bytes: 0,
-            errors_detected: 0,
-            repaired_extents: 0,
-            superseded_extents: 0,
             quarantined: BTreeSet::new(),
-            stats: None,
-        }
-    }
-
-    /// Resolves registry handles (lane `"scrub"` on this pipeline's server)
-    /// so every subsequent outcome is mirrored into `registry` — see
-    /// [`DrainPipeline::attach_telemetry`](crate::DrainPipeline::attach_telemetry).
-    pub fn attach_telemetry(&mut self, registry: &MetricsRegistry) {
-        let key = SeriesKey::class(self.server, crate::TrafficClass::Scrub.name());
-        self.stats = Some(ScrubStats {
             passes_completed: registry.counter(key, "passes_completed"),
             scrubbed_extents: registry.counter(key, "scrubbed_extents"),
             scrubbed_bytes: registry.counter(key, "scrubbed_bytes"),
@@ -188,7 +168,7 @@ impl ScrubPipeline {
             repaired_extents: registry.counter(key, "repaired_extents"),
             superseded_extents: registry.counter(key, "superseded_extents"),
             quarantined_extents: registry.gauge(key, "quarantined_extents"),
-        });
+        }
     }
 
     /// The scrub job identity of this server.
@@ -291,28 +271,19 @@ impl ScrubPipeline {
         self.inflight.remove(&seq)
     }
 
-    /// Accounts one judged verification into the pipeline counters and their
-    /// registry mirrors (`error` for any mismatch, whatever its outcome).
+    /// Accounts one judged verification (`error` for any mismatch, whatever
+    /// its outcome).
     fn record_verified(&mut self, bytes: u64, error: bool) {
-        self.scrubbed_extents += 1;
-        self.scrubbed_bytes += bytes;
+        self.scrubbed_extents.inc();
+        self.scrubbed_bytes.add(bytes);
         if error {
-            self.errors_detected += 1;
-        }
-        if let Some(s) = &self.stats {
-            s.scrubbed_extents.inc();
-            s.scrubbed_bytes.add(bytes);
-            if error {
-                s.errors_detected.inc();
-            }
+            self.errors_detected.inc();
         }
     }
 
-    /// Mirrors the quarantine set's size into the registry gauge.
+    /// Publishes the quarantine set's size to its gauge.
     fn sync_quarantine_gauge(&self) {
-        if let Some(s) = &self.stats {
-            s.quarantined_extents.set(self.quarantined.len() as i64);
-        }
+        self.quarantined_extents.set(self.quarantined.len() as i64);
     }
 
     /// Records a verification whose checksum matched (`bytes` verified).
@@ -324,10 +295,7 @@ impl ScrubPipeline {
     /// burst copy.
     pub fn record_repaired(&mut self, bytes: u64) {
         self.record_verified(bytes, true);
-        self.repaired_extents += 1;
-        if let Some(s) = &self.stats {
-            s.repaired_extents.inc();
-        }
+        self.repaired_extents.inc();
     }
 
     /// Records a detected mismatch on an extent a concurrent foreground
@@ -335,10 +303,7 @@ impl ScrubPipeline {
     /// generation guard), so nothing is repaired.
     pub fn record_superseded(&mut self, bytes: u64) {
         self.record_verified(bytes, true);
-        self.superseded_extents += 1;
-        if let Some(s) = &self.stats {
-            s.superseded_extents.inc();
-        }
+        self.superseded_extents.inc();
     }
 
     /// Records a detected mismatch with no resident burst copy to repair
@@ -375,10 +340,7 @@ impl ScrubPipeline {
         self.pass_active = false;
         self.cursor = None;
         self.cursor_exhausted = false;
-        self.passes_completed += 1;
-        if let Some(s) = &self.stats {
-            s.passes_completed.inc();
-        }
+        self.passes_completed.inc();
         self.next_pass_due_ns = now_ns.saturating_add(self.interval_ns);
         Some(self.pass)
     }
@@ -392,14 +354,14 @@ impl ScrubPipeline {
     pub fn status(&self) -> ScrubStatus {
         ScrubStatus {
             enabled: self.enabled,
-            passes_completed: self.passes_completed,
+            passes_completed: self.passes_completed.get(),
             pass_active: self.pass_active,
             inflight: self.inflight.len(),
-            scrubbed_extents: self.scrubbed_extents,
-            scrubbed_bytes: self.scrubbed_bytes,
-            errors_detected: self.errors_detected,
-            repaired_extents: self.repaired_extents,
-            superseded_extents: self.superseded_extents,
+            scrubbed_extents: self.scrubbed_extents.get(),
+            scrubbed_bytes: self.scrubbed_bytes.get(),
+            errors_detected: self.errors_detected.get(),
+            repaired_extents: self.repaired_extents.get(),
+            superseded_extents: self.superseded_extents.get(),
             quarantined: self.quarantined.iter().cloned().collect(),
         }
     }
@@ -422,7 +384,7 @@ mod tests {
     #[test]
     fn a_pass_walks_owned_extents_and_completes() {
         let tier = tier_with(&[("/a", 0, 100), ("/a", 1, 200), ("/b", 0, 300)]);
-        let mut p = ScrubPipeline::new(0, true, 1_000, 2);
+        let mut p = ScrubPipeline::new(0, true, 1_000, 2, &MetricsRegistry::new());
         // Owns everything except /b.
         let owns = |path: &str, _stripe: u64| path != "/b";
         let r0 = p.admit_next(1, 0, &tier, owns).expect("first admit");
@@ -462,7 +424,7 @@ mod tests {
     #[test]
     fn force_pass_bypasses_interval_and_disabled_state() {
         let tier = tier_with(&[("/x", 0, 64)]);
-        let mut p = ScrubPipeline::new(0, false, u64::MAX, 4);
+        let mut p = ScrubPipeline::new(0, false, u64::MAX, 4, &MetricsRegistry::new());
         // Disabled: nothing is admitted on its own.
         assert!(p.admit_next(1, 0, &tier, |_, _| true).is_none());
         let pass = p.force_pass();
@@ -501,7 +463,7 @@ mod tests {
         tier.corrupt_extent("/q", 0, 3);
         let (data, stored) = tier.read_back_with_checksum("/q", 0).unwrap();
         assert_ne!(extent_checksum(&data), stored);
-        let mut p = ScrubPipeline::new(0, true, 0, 4);
+        let mut p = ScrubPipeline::new(0, true, 0, 4, &MetricsRegistry::new());
         p.record_quarantined("/q".into(), 0, 50);
         p.record_repaired(60);
         p.record_superseded(10);
@@ -524,7 +486,7 @@ mod tests {
     #[test]
     fn empty_tier_pass_completes_immediately() {
         let tier = CapacityTier::hdd();
-        let mut p = ScrubPipeline::new(0, true, 100, 4);
+        let mut p = ScrubPipeline::new(0, true, 100, 4, &MetricsRegistry::new());
         assert!(p.admit_next(1, 0, &tier, |_, _| true).is_none());
         assert_eq!(p.finish_pass_if_idle(7), Some(1));
         assert_eq!(p.status().passes_completed, 1);
