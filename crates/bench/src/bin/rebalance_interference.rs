@@ -19,6 +19,7 @@
 
 use themis_bench::experiments::run_rebalance;
 use themis_core::entity::JobId;
+use themis_stage::TrafficClass;
 
 fn main() {
     println!("shard migration: foreground slowdown vs foreground:rebalance weight");
@@ -41,7 +42,7 @@ fn main() {
             "    fg:rebalance {weight}:1  checkpoint time {secs:>7.3} s  \
              (+{slowdown:>5.1}% vs baseline)  migrated {:>4} MiB  \
              pass done at {:>7.3} s",
-            run.migrated_bytes >> 20,
+            run.class(TrafficClass::Rebalance).landed >> 20,
             run.sim_end_ns as f64 / 1e9,
         );
     };

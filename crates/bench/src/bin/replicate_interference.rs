@@ -18,6 +18,7 @@
 
 use themis_bench::experiments::run_replicate;
 use themis_core::entity::JobId;
+use themis_stage::TrafficClass;
 
 fn main() {
     println!("durability replication: foreground slowdown vs foreground:replicate weight");
@@ -40,7 +41,7 @@ fn main() {
             "    fg:replicate {weight}:1  checkpoint time {secs:>7.3} s  \
              (+{slowdown:>5.1}% vs baseline)  replicated {:>4} MiB  \
              lag zero at {:>7.3} s",
-            run.replicated_bytes >> 20,
+            run.class(TrafficClass::Replicate).landed >> 20,
             run.sim_end_ns as f64 / 1e9,
         );
     };

@@ -13,6 +13,7 @@
 
 use themis_bench::experiments::run_restore;
 use themis_core::entity::JobId;
+use themis_stage::TrafficClass;
 
 fn main() {
     println!("policy-admitted restore storm: foreground slowdown vs foreground:restore weight");
@@ -33,7 +34,7 @@ fn main() {
             "    fg:restore {weight}:1  checkpoint time {secs:>7.3} s  \
              (+{slowdown:>5.1}% vs baseline)  restored {:>4} MiB  \
              reader done at {reader_secs:>7.3} s  reader p99 {:>7.2} ms",
-            storm.restored_bytes >> 20,
+            storm.class(TrafficClass::Restore).landed >> 20,
             storm.tenant_latency(JobId(2)).p99_ns as f64 / 1e6,
         );
     }

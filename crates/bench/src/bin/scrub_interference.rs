@@ -19,6 +19,7 @@
 
 use themis_bench::experiments::{run_scrub, staged_select_wallclock_pair};
 use themis_core::entity::JobId;
+use themis_stage::TrafficClass;
 
 fn main() {
     println!("background checksum scrubbing: foreground slowdown vs foreground:scrub weight");
@@ -40,8 +41,8 @@ fn main() {
             "    fg:scrub {weight}:1  checkpoint time {secs:>7.3} s  \
              (+{slowdown:>5.1}% vs baseline)  verified {:>4} MiB  \
              {} mismatches  pass done at {:>7.3} s",
-            scrubbed.scrubbed_bytes >> 20,
-            scrubbed.scrub_errors,
+            scrubbed.class(TrafficClass::Scrub).landed >> 20,
+            scrubbed.class(TrafficClass::Scrub).failed,
             scrubbed.sim_end_ns as f64 / 1e9,
         );
     };

@@ -32,6 +32,7 @@ use themis_core::policy::Policy;
 use themis_device::DeviceConfig;
 use themis_sim::metrics::NS_PER_SEC;
 use themis_sim::{OpPattern, SimConfig, SimJob, SimStagingConfig, Simulation};
+use themis_stage::TrafficClass;
 
 /// The machine-readable perf snapshot of one revision: foreground slowdown
 /// under weighted drain and restore pressure, sustained class bandwidth,
@@ -475,11 +476,8 @@ pub fn run_drain(staging: Option<SimStagingConfig>) -> (f64, u64, u64) {
     };
     let result = Simulation::new(config, checkpoint_bursts()).run();
     let finish_secs = result.job_finish_ns[&JobId(1)] as f64 / 1e9;
-    (
-        finish_secs,
-        result.drained_bytes,
-        result.residual_dirty_bytes,
-    )
+    let drain = result.class(TrafficClass::Drain);
+    (finish_secs, drain.landed, drain.owed)
 }
 
 /// The drain half of the report.
@@ -632,7 +630,9 @@ pub fn scrub_experiment() -> ScrubNumbers {
         baseline_secs,
         fg_slowdown_pct_1_1: (even_secs / baseline_secs - 1.0) * 100.0,
         fg_slowdown_pct_8_1: (weighted_secs / baseline_secs - 1.0) * 100.0,
-        scrubbed_mib_s_8_1: weighted.scrubbed_bytes as f64 / (1 << 20) as f64 / weighted_span_secs,
+        scrubbed_mib_s_8_1: weighted.class(TrafficClass::Scrub).landed as f64
+            / (1 << 20) as f64
+            / weighted_span_secs,
     }
 }
 
@@ -708,7 +708,9 @@ pub fn rebalance_experiment() -> RebalanceNumbers {
         baseline_secs,
         fg_slowdown_pct_1_1: (even_secs / baseline_secs - 1.0) * 100.0,
         fg_slowdown_pct_8_1: (weighted_secs / baseline_secs - 1.0) * 100.0,
-        migrated_mib_s_8_1: weighted.migrated_bytes as f64 / (1 << 20) as f64 / weighted_span_secs,
+        migrated_mib_s_8_1: weighted.class(TrafficClass::Rebalance).landed as f64
+            / (1 << 20) as f64
+            / weighted_span_secs,
     }
 }
 
@@ -784,7 +786,7 @@ pub fn replicate_experiment() -> ReplicateNumbers {
         baseline_secs,
         fg_slowdown_pct_1_1: (even_secs / baseline_secs - 1.0) * 100.0,
         fg_slowdown_pct_8_1: (weighted_secs / baseline_secs - 1.0) * 100.0,
-        replicated_mib_s_8_1: weighted.replicated_bytes as f64
+        replicated_mib_s_8_1: weighted.class(TrafficClass::Replicate).landed as f64
             / (1 << 20) as f64
             / weighted_span_secs,
     }
@@ -1006,7 +1008,7 @@ pub fn staged_select_at_cardinality(jobs: usize) -> f64 {
     use themis_core::engine::PolicyEngine;
     use themis_core::job_table::JobTable;
     use themis_core::request::{Completion, IoRequest, OpKind};
-    use themis_stage::{ClassWeights, StagedEngine, TrafficClass};
+    use themis_stage::{ClassWeights, StagedEngine};
 
     let policy = Policy::job_fair();
     let mut engine = StagedEngine::with_weights(
@@ -1077,7 +1079,6 @@ pub fn staged_round(
 ) {
     use themis_core::engine::PolicyEngine;
     use themis_core::request::{Completion, IoRequest, OpKind};
-    use themis_stage::TrafficClass;
 
     engine.admit(IoRequest::write(*seq, fg, 1 << 20, 0));
     engine.admit(IoRequest::new(
@@ -1168,7 +1169,9 @@ pub fn restore_experiment() -> RestoreNumbers {
         baseline_secs,
         fg_slowdown_pct_1_1: (storm_even_secs / baseline_secs - 1.0) * 100.0,
         fg_slowdown_pct_8_1: (storm_secs / baseline_secs - 1.0) * 100.0,
-        restored_mib_s_8_1: storm.restored_bytes as f64 / (1 << 20) as f64 / storm_span_secs,
+        restored_mib_s_8_1: storm.class(TrafficClass::Restore).landed as f64
+            / (1 << 20) as f64
+            / storm_span_secs,
         fg_p99_ms_8_1: storm.tenant_latency(JobId(1)).p99_ns as f64 / 1e6,
         reader_p99_ms_8_1: storm.tenant_latency(JobId(2)).p99_ns as f64 / 1e6,
     }

@@ -17,9 +17,10 @@
 //!    [`ServerCore`](themis_server::ServerCore)s.
 //! 3. [`oracle`] checks both metric streams against the analytic oracles —
 //!    WFQ share bounds per [`compute_shares`](themis_core::shares::compute_shares),
-//!    work conservation, no starvation across policy epochs — plus
-//!    byte-exact data integrity on the live run and per-tenant share
-//!    agreement between the two runs.
+//!    work conservation, no starvation across policy epochs — plus the
+//!    liveness of every internal traffic class in both runs, byte-exact
+//!    data integrity on the live run and per-tenant share agreement between
+//!    the two runs.
 //! 4. [`report::ConformanceReport`] turns any violation into a one-command
 //!    reproduction line carrying the seed.
 //!
@@ -56,16 +57,13 @@ pub fn run_conformance(seed: u64) -> ConformanceReport {
     // class's weighted share, so their live byte shares legitimately
     // deviate from `compute_shares` and from the residency-blind simulator.
     // For those scenarios the live share-bounds and sim↔live agreement
-    // oracles are replaced by the restore-backpressure oracle (see
-    // `oracle`'s "Restore-storm conditioning" docs). The *sim* run is never
-    // gated (its conformance config pins `restore_miss_rate` to 0), so its
-    // share-bounds oracle keeps running unconditionally — as do
-    // no-starvation, work conservation and integrity.
+    // oracles are skipped (see `oracle`'s "Restore-storm conditioning"
+    // docs). The *sim* run is never gated (its conformance config pins
+    // `restore_miss_rate` to 0), so its share-bounds oracle keeps running
+    // unconditionally — as do all the others.
     violations.extend(oracle::check_share_bounds(&scenario, "sim", &sim.metrics));
     let restore_gated = scenario.staging.as_ref().is_some_and(|s| s.eviction);
-    if restore_gated {
-        violations.extend(oracle::check_restore_backpressure(&scenario, &live));
-    } else {
+    if !restore_gated {
         violations.extend(oracle::check_share_bounds(&scenario, "live", &live.metrics));
         violations.extend(oracle::check_agreement(
             &scenario,
@@ -91,50 +89,29 @@ pub fn run_conformance(seed: u64) -> ConformanceReport {
         "live",
         &live.metrics,
     ));
-    // Maintenance-class liveness: scrub-enabled scenarios must actually
-    // verify bytes (in both runtimes) without detecting corruption the
-    // harness never injected. The sim-side share-bounds oracle above keeps
-    // running unconditioned — that pairing is the scrub oracle's point.
-    violations.extend(oracle::check_scrub_liveness(&scenario, &sim, &live));
-    // Rebalance liveness: resharding scenarios must migrate their misplaced
-    // extents checksum-verified (zero failures) and land every range back on
-    // its full replica set by quiescence — acknowledged bytes survive the
-    // reshard, while the share-bounds oracles above prove the migration
-    // stayed within its weighted lane.
-    violations.extend(oracle::check_rebalance_liveness(&scenario, &sim, &live));
-    // Replicate liveness: durable scenarios must retire their whole
-    // replication debt by quiescence in both runtimes, with zero failed
-    // copies — while the live driver's crash-before-replicate audit (folded
-    // into `live.errors`) proves the replica tier holds exactly the bytes
-    // the durability spec promised, byte-exact, and nothing it did not.
-    violations.extend(oracle::check_replicate_liveness(&scenario, &sim, &live));
+    // Every internal traffic class, in both runtimes, must land its work
+    // without failures and owe nothing at quiescence, while the share-bounds
+    // oracles above prove it stayed within its weighted lane.
+    violations.extend(oracle::check_class_liveness(&scenario, "sim", &sim.classes));
+    violations.extend(oracle::check_class_liveness(
+        &scenario,
+        "live",
+        &live.classes,
+    ));
+    violations.extend(oracle::check_placement(&live));
     // Telemetry consistency: the registry the live cores instrumented must
     // agree exactly with the reply-derived accounting the driver kept —
     // every seed doubles as a correctness test of the metrics subsystem.
     violations.extend(oracle::check_telemetry_consistency(&scenario, &live));
 
     // Integrity: the live run must have executed without error replies,
-    // verified every byte after its evict/stage-in roundtrips, and drained
-    // to quiescence; the simulator must report no residual dirty bytes.
+    // verified every byte after its evict/stage-in roundtrips, held every
+    // durable write byte-exact on the replica tier, and quiesced.
     for e in &live.errors {
         violations.push(Violation {
             oracle: "integrity",
             run: "live",
             detail: e.clone(),
-        });
-    }
-    if !live.drain_clean {
-        violations.push(Violation {
-            oracle: "integrity",
-            run: "live",
-            detail: "staging pipeline not clean at quiescence".into(),
-        });
-    }
-    if sim.residual_dirty_bytes > 0 {
-        violations.push(Violation {
-            oracle: "integrity",
-            run: "sim",
-            detail: format!("{} dirty bytes never drained", sim.residual_dirty_bytes),
         });
     }
 

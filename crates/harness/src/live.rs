@@ -25,7 +25,9 @@ use themis_fs::BurstBufferFs;
 use themis_net::message::{FsOp, FsReply};
 use themis_server::{ServerConfig, ServerCore};
 use themis_sim::{Metrics, ServiceRecord};
-use themis_stage::{BackingStore, CapacityTier, DeviceConfig, ShardMap, ShardedStore};
+use themis_stage::{
+    BackingStore, CapacityTier, ClassTotals, DeviceConfig, ShardMap, ShardedStore, TrafficClass,
+};
 use themis_telemetry::{MetricsRegistry, MetricsSnapshot};
 
 /// Virtual-clock granularity of the live driver. Poll quantisation idles the
@@ -44,46 +46,13 @@ pub struct LiveOutcome {
     /// Virtual time at which the run (including drain quiescence and the
     /// integrity read-back) finished.
     pub end_ns: u64,
-    /// Whether every server's staging pipeline reported clean at quiescence
-    /// (vacuously true without staging).
-    pub drain_clean: bool,
-    /// Total bytes the cluster restored from the capacity tier (stage-in /
-    /// read-through / restore-for-write), summed over servers. Non-zero
-    /// exactly when reads or writes hit evicted extents.
-    pub restored_bytes: u64,
-    /// Restore backlog left at the end of the run, summed over servers
-    /// (must be 0 for a sound run — every queued restore either landed or
-    /// was voided by delete-wins).
-    pub pending_restore_bytes: u64,
-    /// Total bytes the background scrubber verified against their
-    /// write-back checksums, summed over servers. Non-zero exactly when the
-    /// scenario enables scrub and the capacity tier held extents.
-    pub scrubbed_bytes: u64,
-    /// Checksum mismatches the scrubber detected, summed over servers
-    /// (conformance scenarios never inject corruption, so any detection is
-    /// an integrity violation in itself).
-    pub scrub_errors: u64,
-    /// Total bytes the rebalance class migrated after the mid-window
-    /// reshard, summed over servers (0 when the scenario does not reshard).
-    pub migrated_bytes: u64,
-    /// Migrations refused because no replica verified against its checksum,
-    /// summed over servers (must be 0 — conformance never corrupts the
-    /// tier).
-    pub failed_migrations: u64,
+    /// What each internal traffic class did, summed over servers and
+    /// indexed by `class as usize` (all zero without staging): the
+    /// class-liveness oracle's evidence from this runtime.
+    pub classes: [ClassTotals; TrafficClass::COUNT],
     /// Extent ranges still below the replication factor at the end of the
     /// run (0 for a sound reshard, and vacuously 0 without one).
     pub under_replicated: u64,
-    /// Total bytes the replicate class landed on the replica tier, summed
-    /// over servers (0 when the scenario runs without a durability spec or
-    /// no replicated tenant writes).
-    pub replicated_bytes: u64,
-    /// Replication lag left at quiescence, summed over servers (must be 0
-    /// for a sound run — the replicate lane drained its whole debt).
-    pub replication_lag: u64,
-    /// Copies abandoned because their source bytes could not be verified,
-    /// summed over servers (must be 0 — the harness injects no corruption,
-    /// so an unverifiable source is a bookkeeping bug).
-    pub failed_replications: u64,
     /// Whether the sharded tier's placement matched its final map at the
     /// end of the run — every extent on exactly its replica set (vacuously
     /// true without a reshard).
@@ -403,7 +372,7 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
             });
             // Replication lag must drain before quiescence. `is_idle()`
             // cannot hang on a failed copy — failures retire their debt and
-            // are *reported* (as `failed_replications`), not retried forever.
+            // are *reported* (as the class's `failed`), not retried forever.
             let replicated = cores
                 .iter()
                 .all(|c| c.replicate_status_snapshot().is_none_or(|s| s.is_idle()));
@@ -419,10 +388,6 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
             break;
         }
     }
-
-    let drain_clean = cores
-        .iter()
-        .all(|c| c.drain_status_snapshot().is_none_or(|s| s.is_clean()));
 
     // Cut the telemetry snapshot *here* — after quiescence, before the
     // integrity read-back — so per-tenant ops/bytes counters equal the
@@ -488,37 +453,8 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
         errors.push(format!("integrity: {what}: read-back never completed"));
     }
 
-    let (restored_bytes, pending_restore_bytes) = cores
-        .iter()
-        .filter_map(|c| c.drain_status_snapshot())
-        .fold((0u64, 0u64), |(restored, pending), s| {
-            (
-                restored + s.restored_bytes,
-                pending + s.pending_restore_bytes,
-            )
-        });
-    let (scrubbed_bytes, scrub_errors) = cores
-        .iter()
-        .filter_map(|c| c.scrub_status_snapshot())
-        .fold((0u64, 0u64), |(bytes, errors), s| {
-            (bytes + s.scrubbed_bytes, errors + s.errors_detected)
-        });
-    let (migrated_bytes, failed_migrations) = cores
-        .iter()
-        .filter_map(|c| c.rebalance_status_snapshot())
-        .fold((0u64, 0u64), |(bytes, failed), s| {
-            (bytes + s.migrated_bytes, failed + s.failed_extents)
-        });
-    let (replicated_bytes, replication_lag, failed_replications) = cores
-        .iter()
-        .filter_map(|c| c.replicate_status_snapshot())
-        .fold((0u64, 0u64, 0u64), |(bytes, lag, failed), s| {
-            (
-                bytes + s.replicated_bytes,
-                lag + s.lag_bytes,
-                failed + s.failed_replications,
-            )
-        });
+    let classes =
+        TrafficClass::ALL.map(|class| cores.iter().filter_map(|c| c.class_totals(class)).sum());
 
     // ---- crash-before-replicate audit -------------------------------------
     // A burst-buffer loss at this instant keeps exactly the replica tier.
@@ -577,18 +513,9 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
         metrics,
         policy_epochs,
         end_ns: now,
-        drain_clean,
-        restored_bytes,
-        pending_restore_bytes,
-        scrubbed_bytes,
-        scrub_errors,
-        migrated_bytes,
-        failed_migrations,
+        classes,
         under_replicated,
         placement_converged,
-        replicated_bytes,
-        replication_lag,
-        failed_replications,
         errors,
         telemetry,
     }

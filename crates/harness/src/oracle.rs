@@ -15,15 +15,12 @@
 //!   the window.
 //! * **Agreement** — per-tenant full-window byte shares of the simulator
 //!   and the live runtime match within [`EPS_AGREEMENT`].
-//! * **Scrub liveness** — in scrub-enabled scenarios, the maintenance
-//!   class verifies bytes in both runtimes (no lane starvation), reports
-//!   zero mismatches (the harness injects no corruption), and the sim-side
-//!   scrub backlog is clear at quiescence ([`check_scrub_liveness`]).
-//! * **Rebalance liveness** — in resharding scenarios, the mid-run shard
-//!   map change migrates bytes in both runtimes with zero failed
-//!   migrations, and at quiescence the live tier's placement audit shows
-//!   every extent back to its full replica set with no range left
-//!   under-replicated ([`check_rebalance_liveness`]).
+//! * **Class liveness** — in both runtimes, every internal traffic class
+//!   fails nothing, owes nothing at quiescence, and lands bytes wherever
+//!   the scenario gives it work ([`check_class_liveness`]).
+//! * **Placement** — after a mid-run reshard, the live tier's placement
+//!   audit shows every extent back on its full replica set, with no range
+//!   under-replicated and no stale copy left ([`check_placement`]).
 //! * **Telemetry consistency** — the live cluster's metrics registry agrees
 //!   exactly with the driver's reply-derived accounting: per-tenant op and
 //!   byte counters, histogram sample counts, and the park/wake pairing
@@ -43,11 +40,11 @@
 //! legitimately deviates from `compute_shares` (the gated tenant sheds
 //! share; opportunity fairness hands it to the others), and the simulator —
 //! which does not track per-extent residency — cannot reproduce the live
-//! runtime's miss pattern. For those scenarios the two-sided share-bounds
-//! and sim↔live agreement oracles are replaced by
-//! [`check_restore_backpressure`]: restores must actually flow, the backlog
-//! must clear, and no tenant may starve (the no-starvation and integrity
-//! oracles still apply unconditionally). The quantitative protection bound —
+//! runtime's miss pattern. For those scenarios the live share-bounds and
+//! sim↔live agreement oracles are skipped. What still holds is checked as
+//! for every scenario: the class-liveness oracle requires restores to flow
+//! in a restore storm and their backlog to clear, and the no-starvation and
+//! integrity oracles apply unconditionally. The quantitative protection bound —
 //! an un-gated checkpointer keeps ≥ w/(w+1) of its no-restore throughput —
 //! is asserted deterministically in `tests/staging_drain.rs`, where the
 //! workload controls which tenant is gated.
@@ -57,7 +54,8 @@ use crate::scenario::Scenario;
 use themis_core::entity::JobMeta;
 use themis_core::policy::Policy;
 use themis_core::shares::compute_shares;
-use themis_sim::{Metrics, SimResult};
+use themis_sim::Metrics;
+use themis_stage::{ClassTotals, TrafficClass};
 
 /// Floor of the per-epoch share tolerance. Statistical-token scheduling is
 /// randomized per service slot, so observed shares are binomial around the
@@ -115,7 +113,8 @@ pub const RESTORE_STORM_GAP_RELAXATION: f64 = 2.0;
 #[derive(Debug, Clone)]
 pub struct Violation {
     /// Which oracle tripped (`share-bounds`, `work-conservation`,
-    /// `no-starvation`, `integrity`, `agreement`, `telemetry`).
+    /// `no-starvation`, `integrity`, `agreement`, `telemetry`,
+    /// `class-liveness`, `placement`).
     pub oracle: &'static str,
     /// Which runtime produced the evidence (`sim`, `live`, or `sim↔live`).
     pub run: &'static str,
@@ -208,7 +207,7 @@ pub fn check_share_bounds(
 /// issuing window must reach `min_utilisation` of total worker capacity.
 /// Only meaningful without staging (drain service is charged to the same
 /// device but reported out-of-band); staged runs are instead required to
-/// drain fully, which the integrity oracle checks.
+/// drain fully, which the class-liveness oracle checks.
 pub fn check_work_conservation(
     scenario: &Scenario,
     run: &'static str,
@@ -315,150 +314,62 @@ pub fn check_no_starvation(
     violations
 }
 
-/// Restore-backpressure oracle for eviction (restore-storm) scenarios: the
-/// policy-admitted stage-in path must actually carry the storm and drain it.
+/// Class-liveness oracle: every internal traffic class, in the runtime
+/// `run` (`sim` or `live`) whose totals are `classes`, must
 ///
-/// * restore traffic flowed: a storm scenario that restored zero bytes
-///   means evicted data was served some other way (or reads silently
-///   zero-filled — the integrity oracle would also catch that);
-/// * the restore backlog cleared: pending restore bytes at quiescence mean
-///   a parked operation leaked.
-pub fn check_restore_backpressure(scenario: &Scenario, live: &LiveOutcome) -> Vec<Violation> {
+/// * fail nothing: the harness injects no corruption, so a scrub mismatch,
+///   a refused migration or an abandoned replica copy is a bookkeeping bug;
+/// * owe nothing at quiescence: no dirty bytes left undrained, no restore
+///   leaked by a parked operation, no scrub, migration or replication
+///   backlog left over;
+/// * land bytes wherever the scenario gives it work
+///   ([`Scenario::expects_progress`]): a class that moved nothing over the
+///   whole run starved in its lane.
+pub fn check_class_liveness(
+    scenario: &Scenario,
+    run: &'static str,
+    classes: &[ClassTotals; TrafficClass::COUNT],
+) -> Vec<Violation> {
     let mut violations = Vec::new();
-    if scenario.restore_storm() && live.restored_bytes == 0 {
-        violations.push(Violation {
-            oracle: "restore-backpressure",
-            run: "live",
-            detail: "restore storm scenario restored zero bytes — evicted data \
-                     bypassed the policy-admitted stage-in path"
-                .into(),
-        });
-    }
-    if live.pending_restore_bytes > 0 {
-        violations.push(Violation {
-            oracle: "restore-backpressure",
-            run: "live",
-            detail: format!(
-                "{} restore bytes still pending at quiescence (parked op leaked?)",
-                live.pending_restore_bytes
-            ),
-        });
+    for class in TrafficClass::ALL {
+        let ClassTotals {
+            landed,
+            owed,
+            failed,
+        } = classes[class as usize];
+        let mut fail = |detail: String| {
+            violations.push(Violation {
+                oracle: "class-liveness",
+                run,
+                detail: format!("{class}: {detail}"),
+            });
+        };
+        if failed > 0 {
+            fail(format!(
+                "{failed} transfers failed with no injected corruption"
+            ));
+        }
+        if owed > 0 {
+            fail(format!(
+                "{owed} bytes still owed at quiescence ({landed} landed)"
+            ));
+        }
+        if landed == 0 && scenario.expects_progress(class, run) {
+            fail("landed zero bytes over the whole run (lane starved?)".into());
+        }
     }
     violations
 }
 
-/// Scrub-liveness oracle for scrub-enabled scenarios: the maintenance
-/// class must make progress under every foreground mix — without any
-/// conditioning of the *sim-side* share bounds, which keep running
-/// unchanged (scrub traffic is reported out of band, and its 16:1 weight
-/// keeps the foreground perturbation inside the existing tolerances — the
-/// README's "Scrub conditioning" note).
-///
-/// * **live**: the capacity tier always holds extents (the prefilled rank
-///   regions are retired into it at boot), so a scrubber that verified
-///   zero bytes over the whole run starved — the lane-fairness failure this
-///   class exists to catch. Any detected checksum mismatch is corruption
-///   the harness never injected, i.e. a drain/scrub bookkeeping bug.
-/// * **sim**: the byte-level model verifies every drained byte exactly
-///   once; a backlog left at quiescence (or a reported mismatch at error
-///   rate 0) is a violation.
-pub fn check_scrub_liveness(
-    scenario: &Scenario,
-    sim: &SimResult,
-    live: &LiveOutcome,
-) -> Vec<Violation> {
+/// Placement oracle: at quiescence the live sharded tier's placement audit
+/// is clean. Every extent holds its full replica set under the final map,
+/// so acknowledged bytes survived the reshard, and no stale copy is left on
+/// a retired holder. Vacuously clean without a reshard.
+pub fn check_placement(live: &LiveOutcome) -> Vec<Violation> {
     let mut violations = Vec::new();
-    if !scenario.scrub_enabled() {
-        return violations;
-    }
-    if live.scrubbed_bytes == 0 {
-        violations.push(Violation {
-            oracle: "scrub-liveness",
-            run: "live",
-            detail: "scrub enabled but zero bytes verified over the whole run \
-                     (maintenance lane starved?)"
-                .into(),
-        });
-    }
-    if live.scrub_errors > 0 {
-        violations.push(Violation {
-            oracle: "scrub-liveness",
-            run: "live",
-            detail: format!(
-                "{} checksum mismatches detected with no injected corruption",
-                live.scrub_errors
-            ),
-        });
-    }
-    if sim.scrubbed_bytes < sim.drained_bytes {
-        violations.push(Violation {
-            oracle: "scrub-liveness",
-            run: "sim",
-            detail: format!(
-                "scrub backlog at quiescence: {} of {} drained bytes verified",
-                sim.scrubbed_bytes, sim.drained_bytes
-            ),
-        });
-    }
-    if sim.scrub_errors > 0 {
-        violations.push(Violation {
-            oracle: "scrub-liveness",
-            run: "sim",
-            detail: format!(
-                "{} checksum mismatches reported at error rate 0",
-                sim.scrub_errors
-            ),
-        });
-    }
-    violations
-}
-
-/// Rebalance-liveness oracle: a resharding scenario must actually move the
-/// data. Checked:
-///
-/// * live migrated at least one byte (a reshard that triggers no migration
-///   means the pipeline never woke, or the ownership filter dropped every
-///   extent);
-/// * zero failed migrations — the harness injects no corruption, so a
-///   checksum-refused copy is a real bug, not an environmental hazard;
-/// * the placement audit at quiescence is clean: every extent holds its
-///   full replica set under the final map, with no under-replicated range
-///   (acknowledged bytes survived the reshard) — `placement_converged`
-///   additionally requires zero stale copies, i.e. the retired holders
-///   were pruned;
-/// * the sim's migration backlog is fully consumed (its byte model of the
-///   same pass).
-pub fn check_rebalance_liveness(
-    scenario: &Scenario,
-    sim: &SimResult,
-    live: &LiveOutcome,
-) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    if !scenario.reshard_enabled() {
-        return violations;
-    }
-    if live.migrated_bytes == 0 {
-        violations.push(Violation {
-            oracle: "rebalance-liveness",
-            run: "live",
-            detail: "reshard fired but zero bytes migrated over the whole run \
-                     (rebalance lane starved, or the pass never started?)"
-                .into(),
-        });
-    }
-    if live.failed_migrations > 0 {
-        violations.push(Violation {
-            oracle: "rebalance-liveness",
-            run: "live",
-            detail: format!(
-                "{} migrations failed checksum verification with no injected corruption",
-                live.failed_migrations
-            ),
-        });
-    }
     if live.under_replicated > 0 {
         violations.push(Violation {
-            oracle: "rebalance-liveness",
+            oracle: "placement",
             run: "live",
             detail: format!(
                 "{} extents under-replicated at quiescence (acknowledged bytes \
@@ -469,100 +380,11 @@ pub fn check_rebalance_liveness(
     }
     if !live.placement_converged {
         violations.push(Violation {
-            oracle: "rebalance-liveness",
+            oracle: "placement",
             run: "live",
             detail: "placement audit not converged at quiescence (stale copies \
                      left on retired holders?)"
                 .into(),
-        });
-    }
-    let backlog = scenario.sim_rebalance_backlog_bytes();
-    if sim.migrated_bytes < backlog {
-        violations.push(Violation {
-            oracle: "rebalance-liveness",
-            run: "sim",
-            detail: format!(
-                "migration backlog at quiescence: {} of {} bytes moved",
-                sim.migrated_bytes, backlog
-            ),
-        });
-    }
-    violations
-}
-
-/// Replicate-liveness oracle for durable scenarios: the durability classes
-/// must actually deliver. Checked:
-///
-/// * the live replication lag drained to zero by quiescence — every byte of
-///   replica debt the durability spec created was retired (the "lag drains
-///   to zero" oracle; a positive residue means the replicate lane starved
-///   or leaked debt);
-/// * zero failed replications — the harness injects no corruption, so a
-///   copy abandoned for an unverifiable source is a bookkeeping bug, not an
-///   environmental hazard (the live driver separately audits the replica
-///   tier's *contents* byte-exact — the crash-before-replicate check — and
-///   reports mismatches through `LiveOutcome::errors`);
-/// * when a replicated tenant writes, copy bytes actually landed in both
-///   runtimes (a durable scenario that replicated nothing means the lane
-///   starved or the policy resolution dropped every write);
-/// * the sim's byte-level replication debt is fully consumed at quiescence
-///   (`residual_replication_lag` 0).
-pub fn check_replicate_liveness(
-    scenario: &Scenario,
-    sim: &SimResult,
-    live: &LiveOutcome,
-) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    if !scenario.durability_enabled() {
-        return violations;
-    }
-    if live.replication_lag > 0 {
-        violations.push(Violation {
-            oracle: "replicate-liveness",
-            run: "live",
-            detail: format!(
-                "{} bytes of replication lag left at quiescence (replicate lane \
-                 starved, or debt leaked?)",
-                live.replication_lag
-            ),
-        });
-    }
-    if live.failed_replications > 0 {
-        violations.push(Violation {
-            oracle: "replicate-liveness",
-            run: "live",
-            detail: format!(
-                "{} copies abandoned for unverifiable sources with no injected corruption",
-                live.failed_replications
-            ),
-        });
-    }
-    if scenario.durability_writes() && live.replicated_bytes == 0 {
-        violations.push(Violation {
-            oracle: "replicate-liveness",
-            run: "live",
-            detail: "replicated tenants wrote but zero bytes landed on the replica tier \
-                     (replicate lane starved, or the durability resolution dropped every \
-                     write?)"
-                .into(),
-        });
-    }
-    if sim.residual_replication_lag > 0 {
-        violations.push(Violation {
-            oracle: "replicate-liveness",
-            run: "sim",
-            detail: format!(
-                "replication debt at quiescence: {} bytes never copied \
-                 ({} replicated)",
-                sim.residual_replication_lag, sim.replicated_bytes
-            ),
-        });
-    }
-    if scenario.sim_replicate_fraction() > 0.0 && sim.replicated_bytes == 0 {
-        violations.push(Violation {
-            oracle: "replicate-liveness",
-            run: "sim",
-            detail: "byte-level model owed copies but replicated zero bytes".into(),
         });
     }
     violations
@@ -583,8 +405,8 @@ pub fn check_replicate_liveness(
 /// * per tenant, the latency histograms saw one sample per completed op;
 /// * the foreground class's `parked_ops` equals `wakes` — at quiescence
 ///   every parked operation must have woken (a leak here is the bug the
-///   restore-backpressure oracle sees as pending bytes, caught earlier and
-///   more precisely by the counter pair);
+///   class-liveness oracle sees as bytes restore still owes, caught earlier
+///   and more precisely by the counter pair);
 /// * without staging, no background lane recorded any traffic.
 pub fn check_telemetry_consistency(scenario: &Scenario, live: &LiveOutcome) -> Vec<Violation> {
     let mut violations = Vec::new();
@@ -640,7 +462,7 @@ pub fn check_telemetry_consistency(scenario: &Scenario, live: &LiveOutcome) -> V
     }
 
     if scenario.staging.is_none() {
-        for lane in ["drain", "restore", "scrub", "rebalance", "replicate"] {
+        for lane in TrafficClass::ALL.map(TrafficClass::name) {
             for name in [
                 "admitted_bytes",
                 "selected_charged_bytes",
@@ -688,4 +510,121 @@ pub fn check_agreement(scenario: &Scenario, sim: &Metrics, live: &Metrics) -> Ve
         }
     }
     violations
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::StagingSpec;
+    use themis_device::DeviceConfig;
+    use themis_sim::OpPattern;
+
+    /// A restore storm that also scrubs, reshards and replicates the writes
+    /// of tenant 0, so every progress expectation that exists holds.
+    fn busy_scenario() -> Scenario {
+        let mut scenario = Scenario::generate(0);
+        scenario.tenants[0].pattern = OpPattern::WriteReadCycle {
+            bytes_per_op: scenario.bytes_per_op,
+            ops_per_phase: 4,
+        };
+        scenario.staging = Some(StagingSpec {
+            backing_device: DeviceConfig::capacity_hdd(),
+            drain_weight: 8,
+            restore_weight: 8,
+            scrub: true,
+            reshard: true,
+            durability: true,
+            eviction: true,
+            high_watermark_bytes: 1 << 20,
+            low_watermark_bytes: 1 << 19,
+        });
+        scenario
+    }
+
+    const SOUND: ClassTotals = ClassTotals {
+        landed: 1,
+        owed: 0,
+        failed: 0,
+    };
+
+    fn with(class: TrafficClass, totals: ClassTotals) -> [ClassTotals; TrafficClass::COUNT] {
+        let mut classes = [SOUND; TrafficClass::COUNT];
+        classes[class as usize] = totals;
+        classes
+    }
+
+    #[test]
+    fn progress_is_expected_exactly_where_the_scenario_gives_work() {
+        let busy = busy_scenario();
+        let mut quiet = busy.clone();
+        quiet.staging = None;
+        let expected: Vec<(TrafficClass, &str)> = ["sim", "live"]
+            .into_iter()
+            .flat_map(|run| TrafficClass::ALL.map(|class| (class, run)))
+            .filter(|(class, run)| busy.expects_progress(*class, run))
+            .collect();
+        assert_eq!(
+            expected,
+            [
+                (TrafficClass::Replicate, "sim"),
+                (TrafficClass::Restore, "live"),
+                (TrafficClass::Scrub, "live"),
+                (TrafficClass::Rebalance, "live"),
+                (TrafficClass::Replicate, "live"),
+            ]
+        );
+        for run in ["sim", "live"] {
+            for class in TrafficClass::ALL {
+                assert!(!quiet.expects_progress(class, run), "{class} {run}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_sound_run_passes_and_each_fact_fires_once_per_class() {
+        let scenario = busy_scenario();
+        for run in ["sim", "live"] {
+            let sound = check_class_liveness(&scenario, run, &[SOUND; TrafficClass::COUNT]);
+            assert!(sound.is_empty(), "{sound:?}");
+            for class in TrafficClass::ALL {
+                let idle = ClassTotals::default();
+                let broken = [
+                    ClassTotals { failed: 2, ..SOUND },
+                    ClassTotals { owed: 3, ..SOUND },
+                    idle,
+                ];
+                for totals in broken {
+                    let violations = check_class_liveness(&scenario, run, &with(class, totals));
+                    if totals == idle && !scenario.expects_progress(class, run) {
+                        assert!(violations.is_empty(), "{violations:?}");
+                        continue;
+                    }
+                    assert_eq!(violations.len(), 1, "{class} {run} {totals:?}");
+                    let v = &violations[0];
+                    assert_eq!((v.oracle, v.run), ("class-liveness", run));
+                    assert!(v.detail.starts_with(&format!("{class}: ")), "{v}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sim_scrub_backlog_fires_even_when_every_drained_byte_was_scrubbed() {
+        // The scrub target is the boot backlog plus every drained byte, so
+        // a lane that verified all the drained bytes can still owe some.
+        let mut classes = with(
+            TrafficClass::Scrub,
+            ClassTotals {
+                landed: 100,
+                owed: 5,
+                failed: 0,
+            },
+        );
+        classes[TrafficClass::Drain as usize].landed = 100;
+        let violations = check_class_liveness(&busy_scenario(), "sim", &classes);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0]
+            .detail
+            .starts_with("scrub: 5 bytes still owed"));
+    }
 }

@@ -46,7 +46,7 @@ impl ConformanceReport {
             self.live_bytes >> 20
         ));
         if self.violations.is_empty() {
-            out.push_str("verdict:  CONFORMANT (share bounds, work conservation, no starvation, integrity, sim↔live agreement, telemetry consistency)\n");
+            out.push_str("verdict:  CONFORMANT (share bounds, work conservation, no starvation, integrity, class liveness, placement, sim↔live agreement, telemetry consistency)\n");
         } else {
             out.push_str(&format!(
                 "verdict:  {} VIOLATION(S)\n",

@@ -392,7 +392,8 @@ impl Scenario {
                 // scrub model verifies every drained byte once and must
                 // find it sound. No boot backlog — the live run's tier
                 // starts from the retired prefill, which the sim does not
-                // model, and the liveness oracle only requires progress.
+                // model, and the class-liveness oracle needs only every
+                // drained byte verified.
                 scrub_error_rate: 0.0,
                 scrub_backlog_bytes: 0,
                 rebalance_weight: SCENARIO_REBALANCE_WEIGHT,
@@ -401,7 +402,11 @@ impl Scenario {
                 // owes roughly the live migration volume — about half of
                 // each server's share of the written region changes owner
                 // when the map splits (or a child retires).
-                rebalance_backlog_bytes: self.sim_rebalance_backlog_bytes() / self.n_servers as u64,
+                rebalance_backlog_bytes: if s.reshard {
+                    self.region_bytes() / self.n_servers as u64 / 2
+                } else {
+                    0
+                },
                 reshard_at_ns: self.reshard_at_ns(),
                 replicate_weight: SCENARIO_REPLICATE_WEIGHT,
                 replicate_enabled: s.durability,
@@ -514,7 +519,7 @@ impl Scenario {
     }
 
     /// Whether any replicated tenant actually writes — the condition under
-    /// which the replicate-liveness oracle expects copy traffic to flow.
+    /// which the class-liveness oracle expects live copy traffic to flow.
     pub fn durability_writes(&self) -> bool {
         self.tenants
             .iter()
@@ -525,8 +530,8 @@ impl Scenario {
     /// The replicated share of foreground write pressure the simulator's
     /// byte-level model owes copies for: the rank-weighted fraction of
     /// writing tenants under a replicated mode. A model input, not an exact
-    /// accounting — the liveness oracle only requires that the lag drains to
-    /// zero and that copies flow when this is non-zero.
+    /// accounting — the class-liveness oracle only requires that the lag
+    /// drains to zero and that copies flow when this is non-zero.
     pub fn sim_replicate_fraction(&self) -> f64 {
         if !self.durability_enabled() {
             return 0.0;
@@ -555,20 +560,6 @@ impl Scenario {
     /// rebalance traffic class's conformance dimension).
     pub fn reshard_enabled(&self) -> bool {
         self.staging.as_ref().is_some_and(|s| s.reshard)
-    }
-
-    /// Cluster-total migration backlog the simulator's byte-level model owes
-    /// after the reshard — what the rebalance-liveness oracle expects
-    /// `SimResult::migrated_bytes` to reach at quiescence. Roughly half the
-    /// written region changes owner when the map splits (or a child
-    /// retires); each server carries its `1/n_servers` share.
-    pub fn sim_rebalance_backlog_bytes(&self) -> u64 {
-        if self.reshard_enabled() {
-            let per_server = self.region_bytes() / self.n_servers as u64 / 2;
-            per_server * self.n_servers as u64
-        } else {
-            0
-        }
     }
 
     /// Virtual time of the shard-map change: halfway through the issuing
@@ -604,6 +595,22 @@ impl Scenario {
                     OpPattern::ReadOnly { .. } | OpPattern::WriteReadCycle { .. }
                 )
             })
+    }
+
+    /// Whether the class-liveness oracle expects `class` to land bytes in
+    /// the runtime `run` (`sim` or `live`): live restore in a restore
+    /// storm, live scrub when scrub runs, live rebalance after a reshard,
+    /// and replicate in either runtime when replicated tenants write. Drain
+    /// is not listed: read-only scenarios write nothing to drain.
+    pub fn expects_progress(&self, class: TrafficClass, run: &str) -> bool {
+        match (class, run) {
+            (TrafficClass::Restore, "live") => self.restore_storm(),
+            (TrafficClass::Scrub, "live") => self.scrub_enabled(),
+            (TrafficClass::Rebalance, "live") => self.reshard_enabled(),
+            (TrafficClass::Replicate, "live") => self.durability_writes(),
+            (TrafficClass::Replicate, "sim") => self.sim_replicate_fraction() > 0.0,
+            _ => false,
+        }
     }
 
     /// One-line human summary used in reports.
@@ -763,8 +770,9 @@ mod tests {
     fn pinned_seeds_cover_durability() {
         // The conformance suite pins seeds 0–23; the derived durability
         // dimension must put at least two durable scenarios — with copy
-        // traffic actually flowing — inside it, or the replicate-liveness
-        // and crash-before-replicate oracles would be vacuous.
+        // traffic actually flowing — inside it, or the class-liveness
+        // oracle's replicate checks and the crash-before-replicate audit
+        // would be vacuous.
         let durable = (0..24)
             .map(Scenario::generate)
             .filter(|s| s.durability_enabled() && s.durability_writes())

@@ -21,10 +21,10 @@ use themis_device::{DeviceConfig, DeviceModel, DeviceTimeline};
 use themis_fs::{BurstBufferFs, FsError, OpenFlags, Whence};
 use themis_net::message::{FsOp, FsReply, StageReply};
 use themis_stage::{
-    extent_checksum, write_back_guarded, BackingStore, CapacityTier, DrainPipeline, DrainStatus,
-    MigrationOutcome, RebalancePipeline, RebalanceStatus, ReplicatePipeline, ReplicateStatus,
-    RestorePipeline, RestoreTarget, ScrubPipeline, ScrubStatus, StagedEngine, StagingConfig,
-    TrafficClass,
+    extent_checksum, write_back_guarded, BackingStore, CapacityTier, ClassTotals, DrainPipeline,
+    DrainStatus, MigrationOutcome, RebalancePipeline, RebalanceStatus, ReplicatePipeline,
+    ReplicateStatus, RestorePipeline, RestoreTarget, ScrubPipeline, ScrubStatus, StagedEngine,
+    StagingConfig, TrafficClass,
 };
 use themis_telemetry::{
     Counter, DecisionTrace, Gauge, Histogram, MetricsRegistry, SeriesKey, TraceDump, TraceEvent,
@@ -982,6 +982,42 @@ impl ServerCore {
     pub fn replicate_status(&mut self, request_id: u64) {
         let status = self.replicate_status_snapshot();
         self.reply_status(request_id, status, StageReply::Replicate);
+    }
+
+    /// What `class` has done on this server, `None` when staging is
+    /// disabled: the bytes it landed, what it still owes and the transfers
+    /// it gave up on, read from the same registry handles as the status
+    /// snapshots. Drain owes the shard's dirty bytes; scrub owes nothing,
+    /// because its passes are paced and keep no debt.
+    pub fn class_totals(&self, class: TrafficClass) -> Option<ClassTotals> {
+        let st = self.staging.as_ref()?;
+        let (landed, owed, failed) = match class {
+            TrafficClass::Drain => {
+                let s = self.drain_status_snapshot()?;
+                (s.drained_bytes, s.dirty_bytes, 0)
+            }
+            TrafficClass::Restore => {
+                let s = self.drain_status_snapshot()?;
+                (s.restored_bytes, s.pending_restore_bytes, 0)
+            }
+            TrafficClass::Scrub => {
+                let s = st.scrub.status();
+                (s.scrubbed_bytes, 0, s.errors_detected)
+            }
+            TrafficClass::Rebalance => {
+                let s = st.rebalance.status(st.backing.as_sharded());
+                (s.migrated_bytes, s.pending_bytes, s.failed_extents)
+            }
+            TrafficClass::Replicate => {
+                let s = st.replicate.status();
+                (s.replicated_bytes, s.lag_bytes, s.failed_replications)
+            }
+        };
+        Some(ClassTotals {
+            landed,
+            owed,
+            failed,
+        })
     }
 
     /// The replica tier's **verified** copy of `(path, stripe)` — `None`
@@ -2873,6 +2909,7 @@ mod tests {
     fn drain_status_without_staging_is_an_error() {
         let mut s = server(Policy::size_fair());
         assert!(s.drain_status_snapshot().is_none());
+        assert!(s.class_totals(TrafficClass::Drain).is_none());
         s.drain_status(1);
         let replies = s.take_stage_replies();
         assert!(matches!(replies[0].reply, StageReply::Error(_)));
@@ -3527,6 +3564,46 @@ mod tests {
             replicate.sync_acks_released,
             c("replicate", "sync_acks_released")
         );
+        // Each class's totals read those same numbers.
+        for (class, landed, owed, failed) in [
+            (
+                TrafficClass::Drain,
+                drain.drained_bytes,
+                drain.dirty_bytes,
+                0,
+            ),
+            (
+                TrafficClass::Restore,
+                drain.restored_bytes,
+                drain.pending_restore_bytes,
+                0,
+            ),
+            (
+                TrafficClass::Scrub,
+                scrub.scrubbed_bytes,
+                0,
+                scrub.errors_detected,
+            ),
+            (
+                TrafficClass::Rebalance,
+                rebalance.migrated_bytes,
+                rebalance.pending_bytes,
+                rebalance.failed_extents,
+            ),
+            (
+                TrafficClass::Replicate,
+                replicate.replicated_bytes,
+                replicate.lag_bytes,
+                replicate.failed_replications,
+            ),
+        ] {
+            let totals = ClassTotals {
+                landed,
+                owed,
+                failed,
+            };
+            assert_eq!(s.class_totals(class), Some(totals), "{class}");
+        }
     }
 
     /// A status query reads its pipeline's registry handles, never the

@@ -24,7 +24,7 @@ use themis_core::policy::Policy;
 use themis_core::request::{IoRequest, OpKind};
 use themis_core::sync::SyncConfig;
 use themis_device::{DeviceConfig, DeviceModel, DeviceTimeline};
-use themis_stage::{ClassWeights, StagedEngine, TrafficClass};
+use themis_stage::{ClassTotals, ClassWeights, StagedEngine, TrafficClass};
 
 /// Simulator configuration.
 #[derive(Debug, Clone)]
@@ -87,9 +87,8 @@ pub struct SimStagingConfig {
     /// drained bytes.
     pub scrub_enabled: bool,
     /// Fraction of scrubbed chunks that report a checksum mismatch
-    /// (injected, i.i.d. per chunk), counted in
-    /// [`SimResult::scrub_errors`]. `0.0` (the default) models a sound
-    /// tier.
+    /// (injected, i.i.d. per chunk), counted as the scrub class's `failed`
+    /// in [`SimResult::class`]. `0.0` (the default) models a sound tier.
     pub scrub_error_rate: f64,
     /// Unverified capacity-tier bytes already present at boot (per
     /// server) — the *deep tier* a real scrubber walks: extents drained by
@@ -233,39 +232,16 @@ pub struct SimResult {
     pub job_finish_ns: BTreeMap<JobId, u64>,
     /// Virtual time at which the simulation stopped.
     pub sim_end_ns: u64,
-    /// Total bytes drained to the capacity tier (0 without staging).
-    pub drained_bytes: u64,
-    /// Total bytes restored from the capacity tier for read misses (0
-    /// without staging or with [`SimStagingConfig::restore_miss_rate`] 0).
-    pub restored_bytes: u64,
-    /// Total bytes verified by the background scrubber (0 without staging
-    /// or with [`SimStagingConfig::scrub_enabled`] false). With scrub
-    /// enabled, every drained byte — plus any pre-existing
-    /// [`SimStagingConfig::scrub_backlog_bytes`] — is verified exactly once
-    /// before the run quiesces, so this equals `drained_bytes +
-    /// scrub_backlog_bytes·n_servers` at the end of a sound run.
-    pub scrubbed_bytes: u64,
-    /// Checksum mismatches the scrubber reported (injected at
-    /// [`SimStagingConfig::scrub_error_rate`]; 0 for a sound tier).
-    pub scrub_errors: u64,
-    /// Total bytes migrated by the rebalance class after the reshard (0
-    /// without staging or with [`SimStagingConfig::rebalance_enabled`]
-    /// false). Equals `rebalance_backlog_bytes·n_servers` at the end of a
-    /// completed run.
-    pub migrated_bytes: u64,
-    /// Dirty bytes never drained by the end of the run (0 when the buffer
-    /// fully drained; always 0 without staging).
-    pub residual_dirty_bytes: u64,
-    /// Total bytes copied onto the replica tier by the replicate class (0
-    /// without staging or with [`SimStagingConfig::replicate_enabled`]
-    /// false). Equals `replicate_backlog_bytes·n_servers` plus the
-    /// replicated share of foreground write bytes at the end of a completed
-    /// run.
-    pub replicated_bytes: u64,
-    /// Replication debt never copied by the end of the run — the residual
-    /// replication lag (0 when every owed copy landed; always 0 without
-    /// staging).
-    pub residual_replication_lag: u64,
+    /// What each internal traffic class did, summed over servers and
+    /// indexed by `class as usize` (all zero without staging); read it
+    /// through [`SimResult::class`]. A class's `owed` is its target minus
+    /// what it landed: drain owes every written byte, scrub every drained
+    /// byte plus [`SimStagingConfig::scrub_backlog_bytes`], rebalance its
+    /// [`SimStagingConfig::rebalance_backlog_bytes`] and replicate its boot
+    /// debt plus the replicated share of the writes, so a completed run
+    /// owes 0 everywhere. Only scrub reports `failed`: the mismatches
+    /// injected at [`SimStagingConfig::scrub_error_rate`].
+    pub classes: [ClassTotals; TrafficClass::COUNT],
     /// The policy epochs the run went through: `(start_ns, policy)` for the
     /// boot policy (at 0) and every applied [`PolicyChange`], in order. Each
     /// entry's policy is in force until the next entry's `start_ns` (the last
@@ -275,6 +251,11 @@ pub struct SimResult {
 }
 
 impl SimResult {
+    /// What `class` did over the run, summed over servers.
+    pub fn class(&self, class: TrafficClass) -> ClassTotals {
+        self.classes[class as usize]
+    }
+
     /// Time-to-solution of one job in seconds (0 when the job served
     /// nothing).
     pub fn time_to_solution_secs(&self, job: JobId) -> f64 {
@@ -443,6 +424,19 @@ impl SimServerStaging {
     /// Target bytes `class` has not landed yet.
     fn owed(&self, class: TrafficClass) -> u64 {
         self.target(class).saturating_sub(self.lane(class).landed)
+    }
+
+    /// `class`'s landed and owed bytes on this server, and its injected
+    /// scrub mismatches.
+    fn totals(&self, class: TrafficClass) -> ClassTotals {
+        ClassTotals {
+            landed: self.lane(class).landed,
+            owed: self.owed(class),
+            failed: match class {
+                TrafficClass::Scrub => self.scrub_errors,
+                _ => 0,
+            },
+        }
     }
 
     /// The virtual instant from which `class` may be synthesized: the
@@ -899,21 +893,18 @@ impl Simulation {
             }
         }
 
-        let staging = || servers.iter().filter_map(|s| s.staging.as_ref());
-        let landed = |class| staging().map(|st| st.lane(class).landed).sum();
-        let owed = |class| staging().map(|st| st.owed(class)).sum();
+        let classes = TrafficClass::ALL.map(|class| {
+            servers
+                .iter()
+                .filter_map(|s| s.staging.as_ref())
+                .map(|st| st.totals(class))
+                .sum()
+        });
         SimResult {
             metrics,
             job_finish_ns: job_finish,
             sim_end_ns: now,
-            drained_bytes: landed(TrafficClass::Drain),
-            restored_bytes: landed(TrafficClass::Restore),
-            scrubbed_bytes: landed(TrafficClass::Scrub),
-            scrub_errors: staging().map(|st| st.scrub_errors).sum(),
-            migrated_bytes: landed(TrafficClass::Rebalance),
-            residual_dirty_bytes: owed(TrafficClass::Drain),
-            replicated_bytes: landed(TrafficClass::Replicate),
-            residual_replication_lag: owed(TrafficClass::Replicate),
+            classes,
             policy_epochs,
         }
     }
@@ -1189,7 +1180,7 @@ mod tests {
             restore_miss_rate: 0.0,
             ..SimStagingConfig::default()
         }));
-        assert_eq!(hit.restored_bytes, 0);
+        assert_eq!(hit.class(TrafficClass::Restore).landed, 0);
         let missed = reads(Some(SimStagingConfig {
             backing_device: fast_device(),
             restore_miss_rate: 1.0,
@@ -1197,7 +1188,7 @@ mod tests {
         }));
         let total_read = 8 * 32 * (1 << 20) as u64;
         assert_eq!(missed.metrics.total_bytes(JobId(1)), total_read);
-        assert_eq!(missed.restored_bytes, total_read);
+        assert_eq!(missed.class(TrafficClass::Restore).landed, total_read);
         // Latency of the reads includes the restore queue delay.
         assert!(
             missed.job_finish_ns[&JobId(1)] > hit.job_finish_ns[&JobId(1)],
@@ -1232,10 +1223,13 @@ mod tests {
             Simulation::new(config, vec![job]).run()
         };
         let off = run(false);
-        assert_eq!(off.migrated_bytes, 0);
+        assert_eq!(off.class(TrafficClass::Rebalance).landed, 0);
         let on = run(true);
         // Every server owes its own backlog, so the cluster total is n×.
-        assert_eq!(on.migrated_bytes, 2 * (8 << 20) as u64);
+        assert_eq!(
+            on.class(TrafficClass::Rebalance).landed,
+            2 * (8 << 20) as u64
+        );
         // The migration competes for the same device timeline, so it cannot
         // be free — and it must finish even though the foreground window
         // ends before the backlog does.
@@ -1271,14 +1265,14 @@ mod tests {
             Simulation::new(config, vec![job]).run()
         };
         let off = run(false);
-        assert_eq!(off.replicated_bytes, 0);
-        assert_eq!(off.residual_replication_lag, 0);
+        assert_eq!(off.class(TrafficClass::Replicate), ClassTotals::default());
         let on = run(true);
         // 4 ranks × 16 ops × 1 MiB of durable writes, plus each server's
         // 4 MiB boot debt.
         let writes = 4 * 16 * (1 << 20) as u64;
-        assert_eq!(on.replicated_bytes, writes + 2 * (4 << 20) as u64);
-        assert_eq!(on.residual_replication_lag, 0);
+        let copies = on.class(TrafficClass::Replicate);
+        assert_eq!(copies.landed, writes + 2 * (4 << 20) as u64);
+        assert_eq!(copies.owed, 0);
         // The copies compete for the burst device, so they cannot be free.
         assert!(
             on.sim_end_ns > off.sim_end_ns,
@@ -1314,8 +1308,9 @@ mod tests {
             };
             Simulation::new(config, vec![job]).run()
         };
-        assert_eq!(run(0).replicated_bytes, 0);
-        assert_eq!(run(2 << 20).replicated_bytes, (2 << 20) as u64);
+        let copied = |backlog| run(backlog).class(TrafficClass::Replicate).landed;
+        assert_eq!(copied(0), 0);
+        assert_eq!(copied(2 << 20), (2 << 20) as u64);
     }
 
     #[test]
@@ -1366,14 +1361,21 @@ mod tests {
         // 20 writer ranks × 64 ops × 1 MiB.
         let written = 20 * 64 * mib;
         assert_eq!(result.sim_end_ns, 244_830_304);
-        assert_eq!(result.drained_bytes, written);
-        assert_eq!(result.restored_bytes, 162_529_280);
-        assert_eq!(result.scrubbed_bytes, 3 * (1 << 28) + written);
-        assert_eq!(result.scrub_errors, 75);
-        assert_eq!(result.migrated_bytes, 3 * (1 << 28));
-        assert_eq!(result.replicated_bytes, 3 * (1 << 28) + written / 2);
-        assert_eq!(result.residual_dirty_bytes, 0);
-        assert_eq!(result.residual_replication_lag, 0);
+        // (landed, failed) per class; every class owes nothing at the end.
+        for (class, landed, failed) in [
+            (TrafficClass::Drain, written, 0),
+            (TrafficClass::Restore, 162_529_280, 0),
+            (TrafficClass::Scrub, 3 * (1 << 28) + written, 75),
+            (TrafficClass::Rebalance, 3 * (1 << 28), 0),
+            (TrafficClass::Replicate, 3 * (1 << 28) + written / 2, 0),
+        ] {
+            let totals = ClassTotals {
+                landed,
+                owed: 0,
+                failed,
+            };
+            assert_eq!(result.class(class), totals, "{class}");
+        }
     }
 
     #[test]

@@ -222,6 +222,30 @@ impl fmt::Display for TrafficClass {
     }
 }
 
+/// What one traffic class has done, in either runtime: the bytes it
+/// landed, the bytes it still owes, and the transfers it gave up on.
+/// Summing over servers gives the cluster's totals.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClassTotals {
+    /// Bytes the class moved to their destination.
+    pub landed: u64,
+    /// Bytes the class still owes: its backlog, 0 once it has caught up.
+    pub owed: u64,
+    /// Transfers the class gave up on (scrub mismatches, refused
+    /// migrations, abandoned replica copies).
+    pub failed: u64,
+}
+
+impl std::iter::Sum for ClassTotals {
+    fn sum<I: Iterator<Item = ClassTotals>>(iter: I) -> Self {
+        iter.fold(ClassTotals::default(), |a, b| ClassTotals {
+            landed: a.landed + b.landed,
+            owed: a.owed + b.owed,
+            failed: a.failed + b.failed,
+        })
+    }
+}
+
 /// Why a [`ClassWeights`] DSL string failed to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClassWeightsError {

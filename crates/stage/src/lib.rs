@@ -49,7 +49,9 @@ pub mod scrub;
 pub mod shard;
 
 pub use backing::{extent_checksum, verified_read_back, BackingStore, CapacityTier};
-pub use class::{ClassWeights, ClassWeightsError, TrafficClass, TrafficClassDef, TRAFFIC_CLASSES};
+pub use class::{
+    ClassTotals, ClassWeights, ClassWeightsError, TrafficClass, TrafficClassDef, TRAFFIC_CLASSES,
+};
 pub use engine::StagedEngine;
 pub use pipeline::{
     write_back_guarded, DrainConfig, DrainPipeline, DrainStatus, RestorePipeline, RestoreTarget,

@@ -10,14 +10,15 @@
 //! * WFQ share bounds per `compute_shares`, per policy epoch;
 //! * work conservation (the device never idles while requests queue);
 //! * no starvation across policy epochs;
-//! * byte-exact data integrity after drain/evict/stage-in roundtrips;
+//! * byte-exact data integrity after drain/evict/stage-in roundtrips, and
+//!   the crash-before-replicate audit (every `local_plus_one` write — and
+//!   no `local_only` write — byte-exact on the replica tier);
 //! * per-tenant sim ↔ live share agreement;
-//! * rebalance liveness (the mid-window reshard migrates every misplaced
-//!   extent checksum-verified and the placement audit converges);
-//! * replicate liveness (durable scenarios retire their whole replication
-//!   debt by quiescence, and the crash-before-replicate audit finds every
-//!   `local_plus_one` write — and no `local_only` write — byte-exact on the
-//!   replica tier);
+//! * class liveness (in both runtimes, every internal traffic class fails
+//!   nothing, owes nothing at quiescence and lands bytes wherever the
+//!   scenario gives it work);
+//! * placement (after the mid-window reshard, every extent is back on its
+//!   full replica set under the new map);
 //! * telemetry consistency (the live cluster's metrics registry vs. the
 //!   driver's reply-derived accounting, exact to the op and byte).
 //!
@@ -119,15 +120,16 @@ fn fixed_seed_set_covers_the_feature_matrix() {
     );
     // Scrub scenarios: the maintenance class runs (continuous passes, 16:1)
     // in the pinned set, so lane fairness under a *continuous* background
-    // class — and the scrub-liveness oracle — is exercised on every CI run.
+    // class — and the class-liveness oracle's scrub checks — is exercised
+    // on every CI run.
     // The dimension is derived from the staging draw (no extra RNG
     // consumption), so it arrived without reshuffling a single green seed.
     assert!(scrubbing >= 2, "scrub under-covered: {scrubbing}");
     // Resharding scenarios: every staged scenario reshards its (sharded)
     // capacity tier mid-window, and the drain-weight draw splits them
     // between the two flavors — retiring a backend and adding one — so both
-    // migration directions (and the rebalance-liveness oracle) run on every
-    // CI pass. Derived from existing draws, like scrub, so the pinned seeds
+    // migration directions (with the class-liveness oracle's rebalance
+    // checks and the placement oracle) run on every CI pass. Derived from existing draws, like scrub, so the pinned seeds
     // kept their shapes.
     let resharding = scenarios.iter().filter(|s| s.reshard_enabled()).count();
     let retiring = scenarios
@@ -146,7 +148,7 @@ fn fixed_seed_set_covers_the_feature_matrix() {
     assert!(adding >= 1, "backend addition under-covered: {adding}");
     // Durable scenarios: every staged scenario runs under a durability spec
     // that alternates tenants between local_plus_one and local_only, so the
-    // replicate class, the replicate-liveness oracle and the
+    // replicate class, the class-liveness oracle's replicate checks and the
     // crash-before-replicate audit run on every CI pass. At least two pinned
     // seeds must have a *writing* replicated tenant — otherwise copy traffic
     // never flows and the oracles are vacuous. Derived from existing draws,

@@ -75,7 +75,7 @@ fn weighted_drain_preserves_foreground_throughput_and_fully_drains() {
         checkpoint_bursts(),
     )
     .run();
-    assert_eq!(baseline.drained_bytes, 0);
+    assert_eq!(baseline.class(TrafficClass::Drain).landed, 0);
     let baseline_finish = baseline.job_finish_ns[&JobId(1)];
 
     // Staged at 8:1.
@@ -84,8 +84,12 @@ fn weighted_drain_preserves_foreground_throughput_and_fully_drains() {
 
     // The buffer fully drained: every written byte reached the capacity
     // tier and no dirty bytes remain.
-    assert_eq!(staged.residual_dirty_bytes, 0, "buffer did not fully drain");
-    assert_eq!(staged.drained_bytes, total_written);
+    assert_eq!(
+        staged.class(TrafficClass::Drain).owed,
+        0,
+        "buffer did not fully drain"
+    );
+    assert_eq!(staged.class(TrafficClass::Drain).landed, total_written);
     // The drain finished inside the simulation (bounded by burst end + the
     // inter-burst-scale gap), not in some long tail.
     assert!(
@@ -107,7 +111,7 @@ fn weighted_drain_preserves_foreground_throughput_and_fully_drains() {
     // At 1:1 the drain legitimately takes half the device while bursts run —
     // demonstrably more foreground interference than 8:1.
     let even = Simulation::new(staged_config(1), checkpoint_bursts()).run();
-    assert_eq!(even.residual_dirty_bytes, 0);
+    assert_eq!(even.class(TrafficClass::Drain).owed, 0);
     let even_finish = even.job_finish_ns[&JobId(1)];
     assert!(
         even_finish > staged_finish,
@@ -172,13 +176,16 @@ fn restore_storm_leaves_checkpointer_its_compute_shares_bound() {
     };
 
     let baseline = run(0.0);
-    assert_eq!(baseline.restored_bytes, 0);
+    assert_eq!(baseline.class(TrafficClass::Restore).landed, 0);
     let storm = run(1.0);
     // Every read byte came back through the restore class first.
-    assert_eq!(storm.restored_bytes, 8 * 48 * (1 << 20) as u64);
+    assert_eq!(
+        storm.class(TrafficClass::Restore).landed,
+        8 * 48 * (1 << 20) as u64
+    );
     // Both runs drain fully — restores never block stage-out.
-    assert_eq!(baseline.residual_dirty_bytes, 0);
-    assert_eq!(storm.residual_dirty_bytes, 0);
+    assert_eq!(baseline.class(TrafficClass::Drain).owed, 0);
+    assert_eq!(storm.class(TrafficClass::Drain).owed, 0);
 
     // The checkpointer's bound: at 8:1 the restore class (plus the drain
     // class, present in both runs) may cost the foreground at most its 1/9
@@ -255,16 +262,19 @@ fn scrub_at_8_1_leaves_checkpointer_its_compute_shares_bound() {
 
     let total_written = 16 * 64 * (1 << 20) as u64;
     let baseline = run(false, 8);
-    assert_eq!(baseline.scrubbed_bytes, 0);
-    assert_eq!(baseline.drained_bytes, total_written);
+    assert_eq!(baseline.class(TrafficClass::Scrub).landed, 0);
+    assert_eq!(baseline.class(TrafficClass::Drain).landed, total_written);
 
     let scrubbed = run(true, 8);
     // One full verification pass: the boot backlog plus every drained byte
     // was re-read and checked, with zero mismatches on a sound tier.
-    assert_eq!(scrubbed.drained_bytes, total_written);
-    assert_eq!(scrubbed.scrubbed_bytes, deep_tier + total_written);
-    assert_eq!(scrubbed.scrub_errors, 0);
-    assert_eq!(scrubbed.residual_dirty_bytes, 0);
+    assert_eq!(scrubbed.class(TrafficClass::Drain).landed, total_written);
+    assert_eq!(
+        scrubbed.class(TrafficClass::Scrub).landed,
+        deep_tier + total_written
+    );
+    assert_eq!(scrubbed.class(TrafficClass::Scrub).failed, 0);
+    assert_eq!(scrubbed.class(TrafficClass::Drain).owed, 0);
 
     // The checkpointer's bound: at 8:1 the scrub class (plus the drain
     // class, present in both runs) may cost the foreground at most its 1/9
@@ -288,8 +298,11 @@ fn scrub_at_8_1_leaves_checkpointer_its_compute_shares_bound() {
     // which is the direct evidence the weight knob is what bounds the
     // class.
     let even = run(true, 1);
-    assert_eq!(even.scrubbed_bytes, deep_tier + total_written);
-    assert_eq!(even.scrub_errors, 0);
+    assert_eq!(
+        even.class(TrafficClass::Scrub).landed,
+        deep_tier + total_written
+    );
+    assert_eq!(even.class(TrafficClass::Scrub).failed, 0);
     let even_slowdown = even.job_finish_ns[&JobId(1)] as f64 / baseline_finish;
     assert!(
         even_slowdown > slowdown * 1.2,
@@ -319,8 +332,11 @@ fn drain_completes_between_bursts() {
     .with_max_ops(64)
     .with_queue_depth(4)];
     let result = Simulation::new(staged_config(8), one_burst).run();
-    assert_eq!(result.residual_dirty_bytes, 0);
-    assert_eq!(result.drained_bytes, 16 * 64 * (1 << 20));
+    assert_eq!(result.class(TrafficClass::Drain).owed, 0);
+    assert_eq!(
+        result.class(TrafficClass::Drain).landed,
+        16 * 64 * (1 << 20)
+    );
     let burst_finish = result.job_finish_ns[&JobId(1)];
     let gap = 2 * NS_PER_SEC / 5 - burst_finish.min(2 * NS_PER_SEC / 5);
     assert!(
